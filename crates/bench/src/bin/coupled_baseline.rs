@@ -221,7 +221,7 @@ fn main() -> ExitCode {
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"coupled EM-IR-thermal fixed point (CoupledGridSpec::demo, damped Picard, tol 0.05 K)\",\n");
+    json.push_str("  \"benchmark\": \"coupled EM-IR-thermal fixed point (CoupledGridSpec::demo, Anderson-accelerated Picard, tol 0.05 K)\",\n");
     json.push_str("  \"first_vs_later\": \"iteration 1 pays the full sparse factorization (AMD-ordered LDL^T for the SPD grid stamps, sparse LU otherwise); iterations 2+ restamp and refactor() along the cached ordering — the ratio is the factorization-reuse payoff\",\n");
     json.push_str("  \"machine\": \"container, medians of 3 runs\",\n");
     json.push_str("  \"trace_rows\": \"grids labeled NxN+trace rerun the same workload under a live span capture (hotwire_obs::spantree); bench_diff --trace-overhead pairs them with the plain rows and bounds the tracing cost\",\n");

@@ -2,7 +2,7 @@
 //! temperature-dependent resistivity, then an EM rollup on the
 //! converged state.
 //!
-//! One iteration of the damped Picard loop:
+//! One iteration of the Anderson-accelerated Picard loop:
 //!
 //! 1. stamp every branch's conductance from its current temperature,
 //!    `g_b = A / (ρ(T_b)·ℓ)`, and DC-solve the grid — the first solve
@@ -11,13 +11,16 @@
 //! 2. convert branch currents to Joule powers `P_b = I_b²/g_b`, split
 //!    them onto the end nodes, and solve the chip thermal map (factored
 //!    once — thermal conductances never change);
-//! 3. update every branch temperature toward the substrate-referenced
-//!    field with damping `α`, clamping the *resistivity lookup* into
-//!    the metal fit's validity window so an overshooting iterate can
-//!    never stamp a non-physical resistance.
+//! 3. form the residual `f = G(T) − T` against the substrate-referenced
+//!    field and move every branch temperature by Anderson mixing of the
+//!    last three residual differences (damping `α` is the mixing
+//!    parameter; a growing residual restarts to the plain damped step
+//!    `T + α·f`). The *resistivity lookup* is clamped into the metal
+//!    fit's validity window so an overshooting iterate can never stamp
+//!    a non-physical resistance.
 //!
-//! Convergence is declared when the max |ΔT| update falls under the
-//! tolerance; growth over consecutive iterations raises
+//! Convergence is declared when the damped residual `α·max|f|` falls
+//! under the tolerance; growth over consecutive iterations raises
 //! [`CoupledError::Diverged`] naming the offending branches, and a
 //! converged state still pinned at the validity limit raises
 //! [`CoupledError::BeyondResistivityRange`].
@@ -39,6 +42,7 @@ use hotwire_units::{Current, CurrentDensity, Kelvin, Length, Seconds, Voltage};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+use crate::anderson::Anderson;
 use crate::error::{BranchHotspot, CoupledError};
 use crate::trace::{ConvergenceTrace, IterationRecord};
 
@@ -119,12 +123,14 @@ impl CoupledGridSpec {
 /// Knobs of the fixed-point iteration and the EM rollup.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoupledOptions {
-    /// Convergence tolerance on the max per-branch |ΔT| update (K).
+    /// Convergence tolerance on the damped residual
+    /// `damping · max|G(T) − T|` (K).
     pub tolerance: f64,
     /// Iteration cap before [`CoupledError::NotConverged`].
     pub max_iterations: usize,
-    /// Damping factor α ∈ (0, 1] of the Picard update
-    /// `T ← T + α·(T_new − T)`.
+    /// Damping factor α ∈ (0, 1]: the mixing parameter of the Anderson
+    /// update, which reduces to `T ← T + α·(G(T) − T)` with an empty
+    /// history.
     pub damping: f64,
     /// Initial branch-temperature guess; defaults to the substrate
     /// reference.
@@ -177,7 +183,8 @@ pub struct BranchAssessment {
 pub struct CoupledReport {
     /// Picard iterations to convergence.
     pub iterations: usize,
-    /// Max |ΔT| update of every iteration (K), in order.
+    /// Damped residual `α·max|G(T) − T|` of every iteration (K), in
+    /// order.
     pub iteration_deltas: Vec<f64>,
     /// Largest supply droop anywhere on the grid.
     pub worst_ir_drop: Voltage,
@@ -244,6 +251,8 @@ pub struct CoupledEngine {
     deltas: Vec<f64>,
     records: Vec<IterationRecord>,
     converged: bool,
+    /// Mixing history of the temperature update.
+    anderson: Anderson,
 }
 
 impl CoupledEngine {
@@ -382,6 +391,7 @@ impl CoupledEngine {
         let thermal = ChipThermalModel::new(rows, cols, g_lateral, g_half)?;
 
         let n_branches = branches.len();
+        let anderson = Anderson::new(options.damping);
         Ok(Self {
             spec,
             options,
@@ -397,10 +407,12 @@ impl CoupledEngine {
             deltas: Vec::new(),
             records: Vec::new(),
             converged: false,
+            anderson,
         })
     }
 
-    /// One damped Picard iteration; returns the max |ΔT| update (K).
+    /// One Anderson-accelerated Picard iteration; returns the damped
+    /// residual `damping · max|G(T) − T|` (K).
     ///
     /// # Errors
     ///
@@ -451,20 +463,26 @@ impl CoupledEngine {
                 .solve_into(&self.node_power, &mut self.node_rise)?;
         }
         let thermal = thermal_start.elapsed();
-        // 3. Damped update toward the substrate-referenced field.
+        // 3. Anderson-mixed update toward the substrate-referenced
+        //    field: the residual is `G(T) − T`, its damped max-norm the
+        //    reported delta.
         let _t_update = obs_trace::span("coupled.update_time");
         let t_ref = self.spec.reference_temperature.value();
-        let alpha = self.options.damping;
-        let mut delta = 0.0_f64;
-        let mut peak = f64::NEG_INFINITY;
+        let residual = self.anderson.residual_mut(self.branches.len());
+        let mut norm = 0.0_f64;
         for (k, &((r0, c0), (r1, c1))) in self.branches.iter().enumerate() {
             let rise = 0.5 * (self.node_rise[r0 * cols + c0] + self.node_rise[r1 * cols + c1]);
-            let target = t_ref + rise;
-            let change = alpha * (target - self.branch_t[k]);
-            self.branch_t[k] += change;
-            delta = delta.max(change.abs());
-            peak = peak.max(self.branch_t[k]);
+            residual[k] = t_ref + rise - self.branch_t[k];
+            norm = norm.max(residual[k].abs());
         }
+        let delta = self.options.damping * norm;
+        if self.anderson.update(&mut self.branch_t, norm) {
+            metrics::counter("coupled.anderson.restarts").inc();
+        }
+        let peak = self
+            .branch_t
+            .iter()
+            .fold(f64::NEG_INFINITY, |m, &t| m.max(t));
         self.deltas.push(delta);
         self.converged = delta <= self.options.tolerance;
         let worst_drop = self.spec.vdd.value()
@@ -706,6 +724,14 @@ impl CoupledEngine {
         &self.branch_t
     }
 
+    /// Per-branch resistance multipliers set by
+    /// [`CoupledEngine::set_branch_resistance_multipliers`] (all 1 on a
+    /// fresh engine), in grid order.
+    #[must_use]
+    pub fn branch_resistance_multipliers(&self) -> &[f64] {
+        &self.branch_r_mult
+    }
+
     /// Per-node voltages of the latest electrical solve, row-major.
     #[must_use]
     pub fn node_voltages(&self) -> &[f64] {
@@ -770,17 +796,21 @@ impl CoupledEngine {
             });
         }
         self.branch_r_mult.copy_from_slice(multipliers);
+        // Residuals of the old map must not mix with the new one's.
+        self.anderson.clear();
         Ok(())
     }
 
-    /// Clears the convergence state (residual history and flag) while
-    /// keeping the warm temperature field and factorizations — the
-    /// aging loop calls this between epochs so each re-solve gets the
-    /// full iteration budget and converges fast from the warm start.
+    /// Clears the convergence state (residual and Anderson history, and
+    /// the flag) while keeping the warm temperature field and
+    /// factorizations — the aging loop calls this between epochs so
+    /// each re-solve gets the full iteration budget and converges fast
+    /// from the warm start.
     pub fn reset_convergence(&mut self) {
         self.deltas.clear();
         self.records.clear();
         self.converged = false;
+        self.anderson.clear();
     }
 
     /// Size of the reduced electrical system.
@@ -830,12 +860,7 @@ impl CoupledEngine {
         let blech = self.options.blech;
         let pitch = self.spec.pitch;
         let area = self.cross_section;
-        // Snap the logical context before the fan-out so the per-strap
-        // spans on rayon workers parent under `coupled.assess`.
-        let ctx = obs_trace::context();
         let eval = |k: usize| -> (BranchAssessment, Option<(CurrentDensity, Kelvin)>) {
-            let _ctx = ctx.adopt();
-            let _strap_span = obs_trace::span("coupled.em.strap");
             let (from, to) = self.branches[k];
             let i = self.solver.branch_currents()[k].abs();
             let j = i / area;
@@ -878,11 +903,39 @@ impl CoupledEngine {
                 stress,
             )
         };
-        let mut assessed: Vec<(BranchAssessment, Option<(CurrentDensity, Kelvin)>)> = if parallel {
-            (0..self.branches.len()).into_par_iter().map(eval).collect()
+        // One contiguous chunk of straps per worker, one span per chunk:
+        // a strap takes well under a microsecond, too little to carry a
+        // span of its own. The context is snapped before the fan-out so
+        // the worker spans parent under `coupled.assess`.
+        let n = self.branches.len();
+        let workers = if parallel {
+            rayon::current_num_threads()
         } else {
-            (0..self.branches.len()).map(eval).collect()
+            1
         };
+        let chunk_len = n.div_ceil(workers);
+        let chunks: Vec<std::ops::Range<usize>> = (0..n)
+            .step_by(chunk_len)
+            .map(|start| start..(start + chunk_len).min(n))
+            .collect();
+        let ctx = obs_trace::context();
+        let eval_chunk = |straps: std::ops::Range<usize>| -> Vec<_> {
+            let _ctx = ctx.adopt();
+            let _chunk_span = obs_trace::span_with(
+                "coupled.em.chunk",
+                &[("straps", FieldValue::U64(straps.len() as u64))],
+            );
+            straps.map(eval).collect()
+        };
+        let per_chunk: Vec<Vec<_>> = if parallel {
+            chunks.into_par_iter().map(eval_chunk).collect()
+        } else {
+            chunks.into_iter().map(eval_chunk).collect()
+        };
+        let mut assessed = Vec::with_capacity(n);
+        for chunk in per_chunk {
+            assessed.extend(chunk);
+        }
         // Batch TTF over the mortal straps, then the weakest-link rollup.
         let stresses: Vec<(CurrentDensity, Kelvin)> =
             assessed.iter().filter_map(|(_, s)| *s).collect();

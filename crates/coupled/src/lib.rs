@@ -5,8 +5,8 @@
 //! branch currents, the currents Joule-heat the straps, the heat raises
 //! the metal resistivity, and the changed resistivities move the IR
 //! drop — a fixed point the paper's per-line eq. 13 solves analytically
-//! for a single wire and that [`CoupledEngine`] solves by damped Picard
-//! iteration for the whole grid, reusing the sparse MNA symbolic
+//! for a single wire and that [`CoupledEngine`] solves by
+//! Anderson-accelerated Picard iteration for the whole grid, reusing the sparse MNA symbolic
 //! factorization across iterations.
 //!
 //! On the converged state the engine runs a per-strap electromigration
@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
+mod anderson;
 pub mod engine;
 pub mod error;
 pub mod trace;

@@ -1,4 +1,4 @@
-//! Per-run convergence telemetry of the damped Picard loop.
+//! Per-run convergence telemetry of the coupled Picard loop.
 //!
 //! Unlike the process-wide metrics registry (`hotwire_obs::metrics`,
 //! compiled out without the `telemetry` feature), the convergence trace
@@ -24,7 +24,8 @@ use serde::{Deserialize, Serialize};
 pub struct IterationRecord {
     /// 1-based iteration number.
     pub iteration: usize,
-    /// The damped max |ΔT| update (K) — the loop's residual.
+    /// The damped residual `α·max|G(T) − T|` (K) — equal to the max
+    /// |ΔT| update of a damped Picard step.
     pub max_delta_t: f64,
     /// Hottest branch temperature after the update (K).
     pub peak_temperature: f64,
@@ -35,7 +36,7 @@ pub struct IterationRecord {
     /// Wall time of the chip thermal substitution (ms).
     pub thermal_ms: f64,
     /// Wall time of the whole iteration (ms) — electrical + thermal +
-    /// the damped update. Strictly ≥ `electrical_ms + thermal_ms`, and
+    /// the temperature update. Strictly ≥ `electrical_ms + thermal_ms`, and
     /// the `coupled.run` registry timer is in turn ≥ the sum of these
     /// over a run, since its RAII span encloses the full Picard loop.
     pub total_ms: f64,

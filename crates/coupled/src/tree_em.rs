@@ -573,6 +573,52 @@ mod tests {
         }
     }
 
+    /// The warm re-solve after each aging epoch must land where a fresh
+    /// engine carrying the same multipliers does: the acceleration
+    /// history from before the epoch (a different map) is forgotten.
+    /// Epoch `e` of a run is replayed as the last epoch of an `e`-epoch
+    /// run over `e` windows.
+    #[test]
+    fn every_aging_epoch_matches_a_fresh_solve_with_its_multipliers() {
+        let mut spec = CoupledGridSpec::demo(3, 3);
+        spec.sink_per_node = hotwire_units::Current::from_milliamps(40.0);
+        let options = CoupledOptions::default();
+        let window = 1.05e9;
+        for epochs in 1..=3 {
+            let mut aged = CoupledEngine::new(spec.clone(), options.clone()).unwrap();
+            aged.run().unwrap();
+            let mut opts = cu_options(window * epochs as f64);
+            opts.transient.resolution = 4;
+            let aging = AgingOptions {
+                epochs,
+                steps_per_epoch: 16,
+                liner_resistance_factor: 10.0,
+            };
+            age_with_tree_em(&mut aged, &opts, &aging).unwrap();
+            let multipliers = aged.branch_resistance_multipliers();
+            assert!(
+                multipliers.iter().any(|&m| m > 1.0),
+                "epoch {epochs} aged nothing"
+            );
+            let mut fresh = CoupledEngine::new(spec.clone(), options.clone()).unwrap();
+            fresh
+                .set_branch_resistance_multipliers(multipliers)
+                .unwrap();
+            fresh.run().unwrap();
+            for (k, (a, f)) in aged
+                .branch_temperatures()
+                .iter()
+                .zip(fresh.branch_temperatures())
+                .enumerate()
+            {
+                assert!(
+                    (a - f).abs() <= 2.0 * options.tolerance,
+                    "epoch {epochs} branch {k}: aged {a} K vs fresh {f} K"
+                );
+            }
+        }
+    }
+
     #[test]
     fn steady_only_skips_transient() {
         let mut spec = CoupledGridSpec::demo(3, 3);

@@ -536,6 +536,34 @@ mod tests {
         assert_eq!(h.class, ConvergenceClass::Oscillating, "{h:?}");
     }
 
+    /// Anderson-accelerated Picard contracts superlinearly: the ratios
+    /// shrink step after step instead of settling on a rate. Every
+    /// prefix the engine classifies on the way must stay clear of the
+    /// oscillating/stagnated verdicts (their counters would false-alarm),
+    /// and the full history is converging.
+    #[test]
+    fn superlinear_anderson_histories_are_converging() {
+        for deltas in [
+            &[66.6, 48.1, 13.0, 0.331, 0.0145][..],
+            &[37.5, 20.1, 1.83, 0.0241][..],
+        ] {
+            for n in 1..=deltas.len() {
+                let class = picard_rate(&deltas[..n], 0.05).class;
+                assert!(
+                    !matches!(
+                        class,
+                        ConvergenceClass::Oscillating | ConvergenceClass::Stagnated
+                    ),
+                    "prefix {:?} classified {class:?}",
+                    &deltas[..n]
+                );
+            }
+            let h = picard_rate(deltas, 0.05);
+            assert_eq!(h.class, ConvergenceClass::Converging, "{deltas:?}: {h:?}");
+            assert!(h.contraction < 1.0, "{h:?}");
+        }
+    }
+
     #[test]
     fn short_history_is_unknown_and_converged_is_converging() {
         assert_eq!(picard_rate(&[], 1e-6).class, ConvergenceClass::Unknown);

@@ -417,18 +417,24 @@ fn trace_format_chrome_captures_a_span_tree_the_analyzer_reads() {
     let dir = std::env::temp_dir().join(format!("hotwire-chrome-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("trace.chrome.json");
-    let (ok, stdout, stderr) = hotwire(&[
-        "coupled-signoff",
-        "--rows",
-        "20",
-        "--cols",
-        "20",
-        "--trace-out",
-        path.to_str().unwrap(),
-        "--trace-format",
-        "chrome",
-    ]);
-    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    // Two workers, so the EM chunk spans open on threads other than
+    // the one holding `coupled.assess`.
+    let out = Command::new(env!("CARGO_BIN_EXE_hotwire"))
+        .args([
+            "coupled-signoff",
+            "--rows",
+            "20",
+            "--cols",
+            "20",
+            "--trace-out",
+            path.to_str().unwrap(),
+            "--trace-format",
+            "chrome",
+        ])
+        .env("RAYON_NUM_THREADS", "2")
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{out:?}");
 
     let text = std::fs::read_to_string(&path).unwrap();
     let trace = SpanTrace::parse(&text).expect("chrome trace parses back");
@@ -448,10 +454,23 @@ fn trace_format_chrome_captures_a_span_tree_the_analyzer_reads() {
                 "iteration spans carry their index: {s:?}"
             );
         }
-        assert!(
-            trace.spans.iter().any(|s| s.name == "coupled.em.strap"),
-            "per-strap EM spans captured"
-        );
+        // One EM span per worker chunk, each adopted into the
+        // `coupled.assess` span that fanned it out.
+        let assess = trace
+            .spans
+            .iter()
+            .find(|s| s.name == "coupled.assess")
+            .expect("assessment span captured");
+        let chunks: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "coupled.em.chunk")
+            .collect();
+        assert_eq!(chunks.len(), 2, "one EM chunk span per worker");
+        for chunk in &chunks {
+            assert_eq!(chunk.parent, Some(assess.id), "{chunk:?}");
+            assert_ne!(chunk.tid, assess.tid, "chunks run on workers: {chunk:?}");
+        }
     }
 
     // The analyzer consumes the same file: self-time table, critical

@@ -296,7 +296,7 @@ fn coupled_run_timer_encloses_the_stage_timers() {
 
 /// The `coupled.residual` gauge keeps only its last write, but the
 /// snapshot's envelope must expose the whole excursion: the first
-/// (largest) residual of the damped loop ends up in `max`, the
+/// (largest) residual of the Picard loop ends up in `max`, the
 /// converged one in `value`.
 #[test]
 fn residual_gauge_envelope_shows_the_decay() {

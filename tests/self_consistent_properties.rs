@@ -1,12 +1,15 @@
 //! Property-based tests on the self-consistent solver (eq. 13): the
 //! returned point must actually satisfy both physical constraints, and
 //! the qualitative laws the paper derives from the equation must hold
-//! across the whole physical parameter space.
+//! across the whole physical parameter space. The chip-scale coupled
+//! engine iterates the same rule with Anderson-accelerated Picard; its
+//! properties close the file.
 
 use hotwire::core::SelfConsistentProblem;
+use hotwire::coupled::{CoupledEngine, CoupledError, CoupledGridSpec, CoupledOptions};
 use hotwire::tech::{Dielectric, Metal};
 use hotwire::thermal::impedance::{InsulatorStack, LineGeometry};
-use hotwire::units::{CurrentDensity, Length};
+use hotwire::units::{Current, CurrentDensity, Length};
 use proptest::prelude::*;
 
 fn um(v: f64) -> Length {
@@ -173,4 +176,116 @@ fn mixed_stack_between_extremes() {
     );
     assert!(mix.j_peak <= ox.j_peak);
     assert!(mix.j_peak >= poly.j_peak);
+}
+
+/// A small demo grid fed from its first `pads` of three corners, each
+/// pad sourcing about `pad_ma` — the knob that sets how hot the
+/// straps next to it run.
+fn small_grid(rows: usize, cols: usize, pad_ma: f64, pads: usize) -> CoupledGridSpec {
+    let mut spec = CoupledGridSpec::demo(rows, cols);
+    let nodes = (rows * cols) as f64;
+    spec.sink_per_node = Current::from_milliamps(pad_ma * pads as f64 / nodes);
+    spec.pads = [(0, 0), (rows - 1, cols - 1), (0, cols - 1)][..pads].to_vec();
+    spec
+}
+
+fn converged(
+    spec: CoupledGridSpec,
+    options: CoupledOptions,
+) -> Result<CoupledEngine, CoupledError> {
+    let mut engine = CoupledEngine::new(spec, options)?;
+    engine.run()?;
+    Ok(engine)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The accelerated loop stops at the default tolerance on the same
+    /// fixed point a tight (1e-6 K) solve reaches.
+    #[test]
+    fn accelerated_picard_lands_on_the_tight_fixed_point(
+        rows in 2_usize..9,
+        cols in 2_usize..9,
+        pad_ma in 20.0_f64..600.0,
+        pads in 1_usize..4,
+    ) {
+        let spec = small_grid(rows, cols, pad_ma, pads);
+        let loose = converged(spec.clone(), CoupledOptions::default());
+        let tight = converged(
+            spec,
+            CoupledOptions { tolerance: 1.0e-6, ..CoupledOptions::default() },
+        );
+        let (loose, tight) = match (loose, tight) {
+            (Ok(l), Ok(t)) => (l, t),
+            (Err(l), Err(t)) => {
+                // Both refuse: the refusal does not hinge on the tolerance.
+                prop_assert_eq!(std::mem::discriminant(&l), std::mem::discriminant(&t));
+                return Ok(());
+            }
+            (l, t) => return Err(TestCaseError::fail(format!(
+                "loose {:?} vs tight {:?}", l.err(), t.err()
+            ))),
+        };
+        for (k, (a, b)) in loose
+            .branch_temperatures()
+            .iter()
+            .zip(tight.branch_temperatures())
+            .enumerate()
+        {
+            prop_assert!((a - b).abs() <= 0.5, "branch {k}: {a} K vs tight {b} K");
+        }
+    }
+
+    /// Driving `step()` by hand and then calling `run()` (what an
+    /// embedding caller or an in-process oracle does) yields the same
+    /// report, bit for bit, as a bare `run()`: the mixing state lives in
+    /// the engine.
+    #[test]
+    fn stepping_then_running_matches_a_bare_run(
+        rows in 2_usize..9,
+        cols in 2_usize..9,
+        pad_ma in 20.0_f64..600.0,
+        steps in 1_usize..5,
+    ) {
+        let spec = small_grid(rows, cols, pad_ma, 2);
+        let options = CoupledOptions::default();
+        let mut bare = CoupledEngine::new(spec.clone(), options.clone()).unwrap();
+        let bare_result = bare.run();
+        let mut stepped = CoupledEngine::new(spec, options).unwrap();
+        let mut step_error = None;
+        while !stepped.converged() && stepped.iterations() < steps {
+            if let Err(e) = stepped.step() {
+                step_error = Some(e);
+                break;
+            }
+        }
+        let stepped_result = match step_error {
+            Some(e) => Err(e),
+            None => stepped.run(),
+        };
+        prop_assert_eq!(bare_result.is_ok(), stepped_result.is_ok());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bare.iterations(), stepped.iterations());
+        prop_assert_eq!(bits(bare.branch_temperatures()), bits(stepped.branch_temperatures()));
+        prop_assert_eq!(bits(bare.node_voltages()), bits(stepped.node_voltages()));
+        if bare_result.is_ok() {
+            let (a, b) = (bare.assess().unwrap(), stepped.assess().unwrap());
+            prop_assert_eq!(bits(&a.iteration_deltas), bits(&b.iteration_deltas));
+            prop_assert_eq!(a.branches, b.branches);
+            prop_assert_eq!(a.chip_ttf, b.chip_ttf);
+            prop_assert_eq!(a.health, b.health);
+        }
+    }
+}
+
+/// The 200×200 demo heats past the copper resistivity fit: a typed
+/// refusal, however fast the loop gets there. (The 50×50 runaway
+/// refusal is pinned in `crates/coupled/tests/coupled.rs`.)
+#[test]
+fn oversized_demo_is_beyond_the_resistivity_range() {
+    match converged(CoupledGridSpec::demo(200, 200), CoupledOptions::default()) {
+        Err(CoupledError::BeyondResistivityRange { .. }) => {}
+        other => panic!("expected BeyondResistivityRange, got {:?}", other.err()),
+    }
 }
