@@ -7,10 +7,12 @@
 //! ```
 //!
 //! The headline number is the factorization-reuse ratio: iteration 1
-//! pays the full sparse LU of the grid's MNA matrix, while iterations
-//! 2+ restamp the same sparsity pattern and `refactor()` along the
-//! cached pivot order. The file records both times per grid size so a
-//! regression in either shows up as a ratio shift.
+//! pays the full sparse factorization of the grid's MNA matrix, while
+//! iterations 2+ restamp the same sparsity pattern and either run the
+//! stale-factor PCG or `refactor()` along the cached ordering. The file
+//! records both times per grid size so a regression in either shows up
+//! as a ratio shift, and per run the refactors, PCG iterations and
+//! thermal CG iterations behind them.
 //!
 //! Every grid size is measured twice: once plain and once with span
 //! capture live (`spantree::capture_start`), the latter reported under
@@ -47,10 +49,40 @@ struct Row {
     later_iter_ms: f64,
     total_ms: f64,
     path: &'static str,
+    counts: Counts,
+}
+
+/// Solver work of one run, from registry counter deltas (zero in a
+/// no-telemetry build).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Counts {
+    refactors: u64,
+    pcg_iters: u64,
+    thermal_cg_iters: u64,
+}
+
+impl Counts {
+    fn now() -> Self {
+        let s = metrics::snapshot();
+        Self {
+            refactors: s.counter("solver.refactor"),
+            pcg_iters: s.counter("grid_dc.pcg_iterations"),
+            thermal_cg_iters: s.counter("thermal.chip.cg_iterations"),
+        }
+    }
+
+    fn since(self, before: Self) -> Self {
+        Self {
+            refactors: self.refactors - before.refactors,
+            pcg_iters: self.pcg_iters - before.pcg_iters,
+            thermal_cg_iters: self.thermal_cg_iters - before.thermal_cg_iters,
+        }
+    }
 }
 
 /// One converged run, timed per iteration. Returns
-/// `(iterations, first_ms, median_later_ms, total_ms, solver_path)`.
+/// `(iterations, first_ms, median_later_ms, total_ms, solver_path,
+/// counts)`.
 ///
 /// Drives [`CoupledEngine::run`] (not `step()` in a hand-rolled loop)
 /// so the run-level `coupled.run` registry timer encloses exactly the
@@ -61,15 +93,17 @@ struct Row {
 /// With `traced` the run executes under a live span capture, so the
 /// timings include every `trace::span` record the engine emits; the
 /// captured tree is drained (outside the timed window) and discarded.
-fn timed_run(n: usize, traced: bool) -> (usize, f64, f64, f64, &'static str) {
+fn timed_run(n: usize, traced: bool) -> (usize, f64, f64, f64, &'static str, Counts) {
     let mut engine = CoupledEngine::new(CoupledGridSpec::demo(n, n), CoupledOptions::default())
         .expect("valid demo spec");
     if traced {
         spantree::capture_start();
     }
+    let before = Counts::now();
     let start = Instant::now();
     engine.run().expect("demo grid converges");
     let total_ms = start.elapsed().as_secs_f64() * 1.0e3;
+    let counts = Counts::now().since(before);
     if traced {
         let captured = spantree::capture_take();
         assert!(
@@ -81,7 +115,7 @@ fn timed_run(n: usize, traced: bool) -> (usize, f64, f64, f64, &'static str) {
     let iter_ms: Vec<f64> = engine.trace().records.iter().map(|r| r.total_ms).collect();
     let first = iter_ms[0];
     let later = median(iter_ms[1..].to_vec());
-    (iter_ms.len(), first, later, total_ms, path)
+    (iter_ms.len(), first, later, total_ms, path, counts)
 }
 
 fn main() -> ExitCode {
@@ -192,12 +226,11 @@ fn main() -> ExitCode {
     let mut rows = Vec::new();
     for n in sizes {
         for traced in [false, true] {
-            let runs: Vec<(usize, f64, f64, f64, &'static str)> =
-                (0..REPS).map(|_| timed_run(n, traced)).collect();
-            let iterations = runs[0].0;
+            let runs: Vec<_> = (0..REPS).map(|_| timed_run(n, traced)).collect();
+            let (iterations, counts) = (runs[0].0, runs[0].5);
             assert!(
-                runs.iter().all(|r| r.0 == iterations),
-                "iteration count must be deterministic"
+                runs.iter().all(|r| r.0 == iterations && r.5 == counts),
+                "iteration and solver-work counts must be deterministic"
             );
             let path = runs[0].4;
             let first_iter_ms = median(runs.iter().map(|r| r.1).collect());
@@ -205,7 +238,8 @@ fn main() -> ExitCode {
             let total_ms = median(runs.iter().map(|r| r.3).collect());
             let label = format!("{n}x{n}{}", if traced { "+trace" } else { "" });
             eprintln!(
-                "{label:>15} {iterations:>3} iterations   first {first_iter_ms:>9.3} ms   later {later_iter_ms:>9.3} ms   total {total_ms:>10.3} ms   ({path})"
+                "{label:>15} {iterations:>3} iterations   first {first_iter_ms:>9.3} ms   later {later_iter_ms:>9.3} ms   total {total_ms:>10.3} ms   ({path}; {} refactors, {} PCG / {} thermal CG iterations)",
+                counts.refactors, counts.pcg_iters, counts.thermal_cg_iters
             );
             rows.push(Row {
                 grid: label,
@@ -215,6 +249,7 @@ fn main() -> ExitCode {
                 later_iter_ms,
                 total_ms,
                 path,
+                counts,
             });
         }
     }
@@ -222,14 +257,14 @@ fn main() -> ExitCode {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"benchmark\": \"coupled EM-IR-thermal fixed point (CoupledGridSpec::demo, Anderson-accelerated Picard, tol 0.05 K)\",\n");
-    json.push_str("  \"first_vs_later\": \"iteration 1 pays the full sparse factorization (AMD-ordered LDL^T for the SPD grid stamps, sparse LU otherwise); iterations 2+ restamp and refactor() along the cached ordering — the ratio is the factorization-reuse payoff\",\n");
+    json.push_str("  \"first_vs_later\": \"iteration 1 pays the full sparse factorization (AMD-ordered LDL^T for the SPD grid stamps, sparse LU otherwise); iterations 2+ restamp and run the stale-factor PCG or refactor() along the cached ordering — the ratio is the factorization-reuse payoff; refactors, pcg_iters and thermal_cg_iters count one run's solver work\",\n");
     json.push_str("  \"machine\": \"container, medians of 3 runs\",\n");
     json.push_str("  \"trace_rows\": \"grids labeled NxN+trace rerun the same workload under a live span capture (hotwire_obs::spantree); bench_diff --trace-overhead pairs them with the plain rows and bounds the tracing cost\",\n");
     json.push_str("  \"sizes\": [\n");
     for (k, r) in rows.iter().enumerate() {
         let speedup = r.first_iter_ms / r.later_iter_ms;
         json.push_str(&format!(
-            "    {{\"grid\": \"{n}\", \"unknowns\": {u}, \"iterations\": {it}, \"first_iter_ms\": {f:.3}, \"later_iter_ms\": {l:.3}, \"refactor_speedup\": {sp:.1}, \"total_ms\": {t:.3}, \"path\": \"{p}\"}}{comma}\n",
+            "    {{\"grid\": \"{n}\", \"unknowns\": {u}, \"iterations\": {it}, \"first_iter_ms\": {f:.3}, \"later_iter_ms\": {l:.3}, \"refactor_speedup\": {sp:.1}, \"total_ms\": {t:.3}, \"path\": \"{p}\", \"refactors\": {rf}, \"pcg_iters\": {pi}, \"thermal_cg_iters\": {ti}}}{comma}\n",
             n = r.grid,
             u = r.unknowns,
             it = r.iterations,
@@ -238,6 +273,9 @@ fn main() -> ExitCode {
             sp = speedup,
             t = r.total_ms,
             p = r.path,
+            rf = r.counts.refactors,
+            pi = r.counts.pcg_iters,
+            ti = r.counts.thermal_cg_iters,
             comma = if k + 1 == rows.len() { "" } else { "," },
         ));
     }

@@ -231,6 +231,22 @@ impl CholeskyFactorization {
         self.l_vals.len() + self.n
     }
 
+    /// Σⱼ cⱼ² over the strictly-lower column counts cⱼ of `L` — the
+    /// multiply-add count of a numeric [`CholeskyFactorization::refactor`]
+    /// up to a constant, the quantity [`crate::grid_dc`] weighs against
+    /// the per-iteration cost of a PCG solve.
+    #[must_use]
+    pub fn refactor_work(&self) -> f64 {
+        self.l_colptr
+            .windows(2)
+            .map(|w| {
+                #[allow(clippy::cast_precision_loss)]
+                let c = (w[1] - w[0]) as f64;
+                c * c
+            })
+            .sum()
+    }
+
     /// The fill-reducing permutation (`perm[k]` = original index of the
     /// k-th pivot).
     #[must_use]
@@ -398,9 +414,24 @@ impl CholeskyFactorization {
     ///
     /// Panics when `b.len() != n`.
     pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) {
+        x.clear();
+        x.resize(self.n, 0.0);
+        self.solve_with(b, x, &mut Vec::new());
+    }
+
+    /// Solves `A·x = b` into `x` (length `n`) using `y` as the
+    /// pivot-space scratch vector — allocation-free once `y` has grown
+    /// to `n`, which is what the preconditioner of
+    /// [`crate::grid_dc::DcGridSolver`]'s PCG calls per iteration.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `b.len() != n` or `x.len() != n`.
+    pub fn solve_with(&self, b: &[f64], x: &mut [f64], y: &mut Vec<f64>) {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
+        assert_eq!(x.len(), self.n, "solution length mismatch");
         // y ← P·b, solved in pivot space.
-        let mut y = vec![0.0f64; self.n];
+        y.resize(self.n, 0.0);
         for (k, &p) in self.perm.iter().enumerate() {
             y[k] = b[p as usize];
         }
@@ -428,8 +459,6 @@ impl CholeskyFactorization {
             y[k] = acc;
         }
         // x ← Pᵀ·v.
-        x.clear();
-        x.resize(self.n, 0.0);
         for (k, &p) in self.perm.iter().enumerate() {
             x[p as usize] = y[k];
         }

@@ -9,9 +9,21 @@
 //! local temperature. The solver eliminates pinned nodes from the
 //! system (no voltage-source branches), stamps the reduced conductance
 //! matrix through the dense/sparse [`MnaMatrix::auto`] crossover, and
-//! keeps the [`MnaFactorization`] alive across solves so iteration 2+
-//! pays only a numeric [`MnaFactorization::refactor`], not the symbolic
-//! analysis.
+//! keeps the [`MnaFactorization`] alive across solves.
+//!
+//! On the sparse LDLᵀ path a later solve does not refactor by default:
+//! it runs [`crate::pcg::pcg`] warm-started from the previous voltages
+//! and preconditioned by the factor already in hand, which a ρ(T)
+//! restamp leaves close to exact. Refactoring is a ski-rental decision
+//! with no knob: one refactor costs about
+//! R = Σⱼcⱼ² / (4·nnz(L) + 2·nnz(A)) PCG iterations (cⱼ = L's column
+//! counts; an iteration is two triangular solves and one mat-vec).
+//! Every attempt's iterations (plus one for its start-up residual and
+//! preconditioner solve) add to a debt; the solve whose attempt brings
+//! the debt to R, or whose attempt fails, refactors and re-solves
+//! directly. An attempt fails when it needs more than ⌈R⌉ iterations,
+//! meets `pᵀ·A·p ≤ 0` or sees a non-finite value. The dense and LU
+//! paths refactor on every solve.
 //!
 //! ```
 //! use hotwire_circuit::grid_dc::DcGridSolver;
@@ -27,16 +39,18 @@
 //! # Ok::<(), hotwire_circuit::CircuitError>(())
 //! ```
 
+use crate::pcg::{pcg, PcgFailure, PcgWork};
 use crate::solver::{MnaFactorization, MnaMatrix, SolverPath};
 use crate::CircuitError;
 use hotwire_obs::{health, metrics, recorder};
 
-/// Refactors between condition-estimate resamples: the estimate is
-/// cached per sparsity pattern and refreshed every this-many numeric
-/// refactors, so its few extra solves amortize to well under a percent
-/// of the solve budget while conditioning drift (a strap burning out,
-/// a grid drifting toward floating) still surfaces within one Picard
-/// window.
+/// Solves between condition-estimate resamples: the estimate is cached
+/// per sparsity pattern and refreshed every this-many solves. A
+/// resample solve refactors, so the estimate describes the current
+/// matrix. Its few extra triangular solves amortize to well under a
+/// percent of the solve budget while conditioning drift (a strap
+/// burning out, a grid drifting toward floating) still surfaces within
+/// one Picard window.
 pub const COND_RESAMPLE_INTERVAL: usize = 32;
 
 /// Default relative-residual warn threshold: ‖Ax−b‖∞/‖b‖∞ beyond this
@@ -51,8 +65,9 @@ pub const DEFAULT_RESIDUAL_WARN: f64 = 1e-8;
 /// Create once per topology with [`DcGridSolver::new`], then call
 /// [`DcGridSolver::solve`] as many times as needed with updated
 /// conductance vectors. The first solve factors the reduced matrix;
-/// later solves reuse the factorization's symbolic structure via
-/// [`MnaFactorization::refactor`].
+/// later solves run the stale-factor PCG or reuse the factorization's
+/// symbolic structure via [`MnaFactorization::refactor`] (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct DcGridSolver {
     n_nodes: usize,
@@ -69,11 +84,26 @@ pub struct DcGridSolver {
     reduced: Vec<f64>,
     node_v: Vec<f64>,
     branch_i: Vec<f64>,
+    /// The reduced matrix as a diagonal plus the `(branch, unknown,
+    /// unknown)` couplings of branches with two free ends — the PCG
+    /// operator and the residual audit's mat-vec.
+    diag: Vec<f64>,
+    couplings: Vec<(usize, usize, usize)>,
+    /// `A·x` scratch for the residual audit.
+    ax: Vec<f64>,
+    pcg_work: PcgWork,
+    /// Pivot-space scratch of the LDLᵀ preconditioner.
+    precond_scratch: Vec<f64>,
+    /// PCG iterations one refactor is worth (R in the module docs).
+    refactor_cost: f64,
+    /// PCG iterations spent since the last factorization.
+    pcg_debt: f64,
+    pcg_solves: usize,
     solves: usize,
     residual_warn: f64,
     last_residual: Option<f64>,
     cond_est: Option<f64>,
-    refactors_since_cond: usize,
+    solves_since_cond: usize,
 }
 
 impl DcGridSolver {
@@ -150,6 +180,12 @@ impl DcGridSolver {
             }
         }
         let n_branches = branches.len();
+        let couplings = branches
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(a, b))| pinned_v[a].is_none() && pinned_v[b].is_none())
+            .map(|(k, &(a, b))| (k, unknown_of[a], unknown_of[b]))
+            .collect();
         Ok(Self {
             n_nodes,
             branches,
@@ -165,11 +201,19 @@ impl DcGridSolver {
             reduced: Vec::new(),
             node_v: vec![0.0; n_nodes],
             branch_i: vec![0.0; n_branches],
+            diag: vec![0.0; n_unknowns],
+            couplings,
+            ax: vec![0.0; n_unknowns],
+            pcg_work: PcgWork::default(),
+            precond_scratch: Vec::new(),
+            refactor_cost: 0.0,
+            pcg_debt: 0.0,
+            pcg_solves: 0,
             solves: 0,
             residual_warn: DEFAULT_RESIDUAL_WARN,
             last_residual: None,
             cond_est: None,
-            refactors_since_cond: 0,
+            solves_since_cond: 0,
         })
     }
 
@@ -188,9 +232,9 @@ impl DcGridSolver {
     /// Solves the grid for the given per-branch conductances (S), in
     /// branch order as passed to [`DcGridSolver::new`].
     ///
-    /// The first call factors the reduced matrix; later calls restamp
-    /// and [`MnaFactorization::refactor`], reusing the symbolic
-    /// structure. Results land in [`DcGridSolver::node_voltages`] and
+    /// The first call factors the reduced matrix; later calls run the
+    /// stale-factor PCG or refactor, as the module docs describe.
+    /// Results land in [`DcGridSolver::node_voltages`] and
     /// [`DcGridSolver::branch_currents`].
     ///
     /// # Errors
@@ -222,74 +266,9 @@ impl DcGridSolver {
         metrics::gauge("grid_dc.unknowns").set(self.n_unknowns as f64);
         let _t = hotwire_obs::trace::span("grid_dc.solve_time");
         if self.n_unknowns > 0 {
-            self.matrix.clear();
-            self.rhs.iter_mut().for_each(|r| *r = 0.0);
-            // Stamp in a fixed order so every solve produces the same
-            // sparsity pattern (a refactor() precondition) and the same
-            // floating-point sums as a fresh assembly.
-            for (&(a, b), &g) in self.branches.iter().zip(branch_conductance) {
-                match (self.pinned_v[a], self.pinned_v[b]) {
-                    (None, None) => {
-                        let (ua, ub) = (self.unknown_of[a], self.unknown_of[b]);
-                        self.matrix.add(ua, ua, g);
-                        self.matrix.add(ub, ub, g);
-                        self.matrix.add(ua, ub, -g);
-                        self.matrix.add(ub, ua, -g);
-                    }
-                    (Some(va), None) => {
-                        let ub = self.unknown_of[b];
-                        self.matrix.add(ub, ub, g);
-                        self.rhs[ub] += g * va;
-                    }
-                    (None, Some(vb)) => {
-                        let ua = self.unknown_of[a];
-                        self.matrix.add(ua, ua, g);
-                        self.rhs[ua] += g * vb;
-                    }
-                    (Some(_), Some(_)) => {} // both ends pinned: no unknown
-                }
-            }
-            for node in 0..self.n_nodes {
-                if self.pinned_v[node].is_none() {
-                    let u = self.unknown_of[node];
-                    self.matrix.add(u, u, self.gmin);
-                    self.rhs[u] -= self.sinks[node];
-                }
-            }
-            let mut sample_cond = false;
-            match &mut self.factorization {
-                Some(f) => {
-                    f.refactor(&self.matrix)?;
-                    self.refactors_since_cond += 1;
-                    if self.refactors_since_cond >= COND_RESAMPLE_INTERVAL {
-                        sample_cond = true;
-                    }
-                }
-                None => {
-                    self.factorization = Some(if self.lu_only {
-                        self.matrix.factor_lu()?
-                    } else {
-                        self.matrix.factor()?
-                    });
-                    sample_cond = true;
-                }
-            }
-            let f = self
-                .factorization
-                .as_ref()
-                .expect("factorization installed above");
-            f.solve_into(&self.rhs, &mut self.reduced);
-            if sample_cond {
-                // First factorization of a pattern, or every
-                // COND_RESAMPLE_INTERVAL-th refactor: refresh the cached
-                // Hager/Higham estimate (a handful of extra triangular
-                // solves against the factorization already in hand).
-                if let Some(kappa) = f.condition_estimate() {
-                    self.cond_est = Some(kappa);
-                }
-                self.refactors_since_cond = 0;
-            }
-            self.check_residual();
+            self.stamp_diagonal_and_rhs(branch_conductance);
+            self.solve_reduced(branch_conductance)?;
+            self.check_residual(branch_conductance);
         }
         for node in 0..self.n_nodes {
             self.node_v[node] = match self.pinned_v[node] {
@@ -304,15 +283,162 @@ impl DcGridSolver {
         Ok(())
     }
 
+    /// Fills the reduced diagonal and the right-hand side (pad
+    /// injections minus sinks), branch by branch in a fixed order.
+    fn stamp_diagonal_and_rhs(&mut self, branch_conductance: &[f64]) {
+        self.diag.fill(0.0);
+        self.rhs.fill(0.0);
+        for (&(a, b), &g) in self.branches.iter().zip(branch_conductance) {
+            match (self.pinned_v[a], self.pinned_v[b]) {
+                (None, None) => {
+                    self.diag[self.unknown_of[a]] += g;
+                    self.diag[self.unknown_of[b]] += g;
+                }
+                (Some(va), None) => {
+                    let ub = self.unknown_of[b];
+                    self.diag[ub] += g;
+                    self.rhs[ub] += g * va;
+                }
+                (None, Some(vb)) => {
+                    let ua = self.unknown_of[a];
+                    self.diag[ua] += g;
+                    self.rhs[ua] += g * vb;
+                }
+                (Some(_), Some(_)) => {} // both ends pinned: no unknown
+            }
+        }
+        for node in 0..self.n_nodes {
+            if self.pinned_v[node].is_none() {
+                let u = self.unknown_of[node];
+                self.diag[u] += self.gmin;
+                self.rhs[u] -= self.sinks[node];
+            }
+        }
+    }
+
+    /// Stamps the reduced matrix — the diagonal already summed by
+    /// [`DcGridSolver::stamp_diagonal_and_rhs`] plus the couplings — for
+    /// a factorization. Every solve stamps the same entries in the same
+    /// order, so the sparsity pattern never changes (a refactor()
+    /// precondition).
+    fn stamp_matrix(&mut self, branch_conductance: &[f64]) {
+        self.matrix.clear();
+        for (u, &d) in self.diag.iter().enumerate() {
+            self.matrix.add(u, u, d);
+        }
+        for &(k, ua, ub) in &self.couplings {
+            self.matrix.add(ua, ub, -branch_conductance[k]);
+            self.matrix.add(ub, ua, -branch_conductance[k]);
+        }
+    }
+
+    /// Solves the stamped reduced system into `reduced`: a first
+    /// factorization, a stale-factor PCG attempt, or a refactor.
+    fn solve_reduced(&mut self, branch_conductance: &[f64]) -> Result<(), CircuitError> {
+        if self.factorization.is_none() {
+            self.stamp_matrix(branch_conductance);
+            let f = if self.lu_only {
+                self.matrix.factor_lu()?
+            } else {
+                self.matrix.factor()?
+            };
+            self.install(f, true);
+            return Ok(());
+        }
+        self.solves_since_cond += 1;
+        let resample = self.solves_since_cond >= COND_RESAMPLE_INTERVAL;
+        if !resample && self.try_pcg(branch_conductance) {
+            return Ok(());
+        }
+        self.stamp_matrix(branch_conductance);
+        if let Some(mut f) = self.factorization.take() {
+            f.refactor(&self.matrix)?;
+            self.install(f, resample);
+        }
+        Ok(())
+    }
+
+    /// Installs a fresh factorization and direct-solves the current
+    /// stamp with it; clears the PCG debt and prices a refactor (R).
+    /// With `sample_cond`, also refreshes the cached Hager/Higham
+    /// condition estimate (a handful of extra triangular solves against
+    /// the factorization in hand).
+    fn install(&mut self, f: MnaFactorization, sample_cond: bool) {
+        f.solve_into(&self.rhs, &mut self.reduced);
+        if sample_cond {
+            if let Some(kappa) = f.condition_estimate() {
+                self.cond_est = Some(kappa);
+            }
+            self.solves_since_cond = 0;
+        }
+        self.refactor_cost = match &f {
+            MnaFactorization::SparseCholesky(chol) => {
+                let nnz_l = chol.nnz() - chol.n();
+                let nnz_a = self.n_unknowns + 2 * self.couplings.len();
+                #[allow(clippy::cast_precision_loss)]
+                let per_iteration = (4 * nnz_l + 2 * nnz_a) as f64;
+                chol.refactor_work() / per_iteration
+            }
+            _ => 0.0,
+        };
+        self.pcg_debt = 0.0;
+        self.factorization = Some(f);
+    }
+
+    /// One stale-factor PCG attempt on the LDLᵀ path, warm-started from
+    /// the previous solution. `true` when the attempt converged and the
+    /// debt stays below R; otherwise the caller refactors.
+    fn try_pcg(&mut self, branch_conductance: &[f64]) -> bool {
+        let Some(MnaFactorization::SparseCholesky(chol)) = &self.factorization else {
+            return false;
+        };
+        let (diag, couplings) = (&self.diag, &self.couplings);
+        let scratch = &mut self.precond_scratch;
+        let attempt = {
+            let _t = hotwire_obs::trace::span("grid_dc.pcg_time");
+            pcg(
+                |x, y| apply_reduced(diag, couplings, branch_conductance, x, y),
+                |r, z| chol.solve_with(r, z, scratch),
+                &self.rhs,
+                &mut self.reduced,
+                pcg_budget(self.refactor_cost),
+                &mut self.pcg_work,
+            )
+        };
+        let iterations = match attempt {
+            Ok(it) | Err(PcgFailure { iterations: it, .. }) => it,
+        };
+        metrics::counter("grid_dc.pcg_iterations").add(iterations as u64);
+        // The start-up residual and preconditioner solve cost one more
+        // iteration's work.
+        #[allow(clippy::cast_precision_loss)]
+        {
+            self.pcg_debt += (iterations + 1) as f64;
+        }
+        if attempt.is_err() || self.pcg_debt >= self.refactor_cost {
+            return false;
+        }
+        metrics::counter("grid_dc.pcg_solves").inc();
+        self.pcg_solves += 1;
+        true
+    }
+
     /// Post-solve relative residual ‖Ax−b‖∞/‖b‖∞ against the stamps and
-    /// RHS still in place from [`DcGridSolver::solve`]. Cheap (one
-    /// sparse mat-vec) and always on; publishes `health.residual_rel`
-    /// and flags `health.residual_warn` past the threshold.
-    fn check_residual(&mut self) {
-        let ax = self.matrix.mul_vec(&self.reduced);
+    /// RHS of the current [`DcGridSolver::solve`]. Cheap (one mat-vec
+    /// over the branch list) and always on; publishes
+    /// `health.residual_rel` and flags `health.residual_warn` past the
+    /// threshold.
+    fn check_residual(&mut self, branch_conductance: &[f64]) {
+        apply_reduced(
+            &self.diag,
+            &self.couplings,
+            branch_conductance,
+            &self.reduced,
+            &mut self.ax,
+        );
         let mut err = 0.0f64;
         let mut bnorm = 0.0f64;
-        for (axi, bi) in ax.iter().zip(&self.rhs) {
+        for (axi, bi) in self.ax.iter().zip(&self.rhs) {
             err = err.max((axi - bi).abs());
             bnorm = bnorm.max(bi.abs());
         }
@@ -382,8 +508,8 @@ impl DcGridSolver {
 
     /// The cached Hager/Higham 1-norm condition estimate of the reduced
     /// matrix, sampled on the first factorization of a pattern and every
-    /// [`COND_RESAMPLE_INTERVAL`]-th refactor. `None` before the first
-    /// solve or on the dense backend.
+    /// [`COND_RESAMPLE_INTERVAL`]-th solve after it. `None` before the
+    /// first solve or on the dense backend.
     #[must_use]
     pub fn condition_estimate(&self) -> Option<f64> {
         self.cond_est
@@ -442,10 +568,17 @@ impl DcGridSolver {
     }
 
     /// How many solves have completed (the first pays a full
-    /// factorization; the rest refactor).
+    /// factorization; the rest refactor or run the PCG).
     #[must_use]
     pub fn solve_count(&self) -> usize {
         self.solves
+    }
+
+    /// How many solves the stale-factor PCG answered without a
+    /// refactor.
+    #[must_use]
+    pub fn pcg_solve_count(&self) -> usize {
+        self.pcg_solves
     }
 
     /// `true` when the reduced matrix uses the sparse backend.
@@ -470,6 +603,36 @@ impl DcGridSolver {
     pub fn solver_path(&self) -> Option<SolverPath> {
         self.factorization.as_ref().map(MnaFactorization::path)
     }
+}
+
+/// `y = A·x` for the reduced matrix held as a diagonal plus the
+/// symmetric couplings of free–free branches.
+fn apply_reduced(
+    diag: &[f64],
+    couplings: &[(usize, usize, usize)],
+    branch_conductance: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+) {
+    for ((yi, &di), &xi) in y.iter_mut().zip(diag).zip(x) {
+        *yi = di * xi;
+    }
+    for &(k, ua, ub) in couplings {
+        let g = branch_conductance[k];
+        y[ua] -= g * x[ub];
+        y[ub] -= g * x[ua];
+    }
+}
+
+/// Iteration budget of one PCG attempt: a refactor's worth (⌈R⌉, at
+/// least one). An attempt that needs more is better served by the
+/// refactor it falls back to.
+fn pcg_budget(refactor_cost: f64) -> usize {
+    // CAST(R is a ratio of flop counts of one grid, finite and far below
+    // usize::MAX; the float-to-int cast saturates regardless):
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let budget = refactor_cost.ceil() as usize;
+    budget.max(1)
 }
 
 #[cfg(test)]
@@ -581,6 +744,50 @@ mod tests {
     }
 
     #[test]
+    fn near_stamps_use_pcg_and_far_stamps_fall_back_to_a_refactor() {
+        let (rows, cols) = (20, 20);
+        let branches = mesh(rows, cols);
+        let nb = branches.len();
+        let pinned = [(0usize, 1.0f64), (rows * cols - 1, 1.0)];
+        let build = || {
+            let mut s = DcGridSolver::new(rows * cols, branches.clone(), &pinned, 1e-12).unwrap();
+            for node in 0..rows * cols {
+                s.set_sink(node, 1e-4);
+            }
+            s
+        };
+        let g1: Vec<f64> = (0..nb).map(|k| 1.0 + 0.1 * (k % 7) as f64).collect();
+        let mut s = build();
+        s.solve(&g1).unwrap();
+        assert_eq!(s.solver_path(), Some(SolverPath::SparseCholesky));
+
+        // A tiny restamp: the stale factor is an almost exact
+        // preconditioner, one PCG iteration serves the solve.
+        let near: Vec<f64> = g1.iter().map(|g| g * (1.0 + 1e-9)).collect();
+        s.solve(&near).unwrap();
+        assert_eq!(s.pcg_solve_count(), 1);
+
+        // Half the straps 100× stiffer: PCG runs out of its ⌈R⌉ budget
+        // and the solve refactors, landing bit for bit on a fresh
+        // factorization's answer.
+        let far: Vec<f64> = g1
+            .iter()
+            .enumerate()
+            .map(|(k, g)| if k % 2 == 0 { 100.0 * g } else { *g })
+            .collect();
+        s.solve(&far).unwrap();
+        assert_eq!(
+            s.pcg_solve_count(),
+            1,
+            "the far stamp must not be a PCG solve"
+        );
+        let mut fresh = build();
+        fresh.solve(&far).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(s.node_voltages()), bits(fresh.node_voltages()));
+    }
+
+    #[test]
     fn rejects_bad_conductances() {
         let mut s = DcGridSolver::new(2, vec![(0, 1)], &[(0, 1.0)], 0.0).unwrap();
         assert!(s.solve(&[]).is_err());
@@ -628,7 +835,7 @@ mod tests {
         s.solve(&uniform).unwrap();
         let first = s.condition_estimate();
         assert!(first.is_some(), "sampled on the first factorization");
-        // Refactors 1..COND_RESAMPLE_INTERVAL-1 keep the cached value
+        // Solves 1..COND_RESAMPLE_INTERVAL-1 keep the cached value
         // even as the matrix changes; the interval-th refresh sees the
         // new, much more spread conductances.
         for _ in 0..COND_RESAMPLE_INTERVAL - 1 {

@@ -14,6 +14,8 @@
 //!   inverter macro; [`sources`] provides DC/pulse/PWL waveforms.
 //! * [`transient`] — MNA assembly, Newton iteration, and
 //!   backward-Euler/trapezoidal integration.
+//! * [`pcg`] — the allocation-free preconditioned-CG kernel the
+//!   coupled loop's DC grid and chip thermal map solve with.
 //! * [`rcline`] — N-segment π-ladder distributed lines.
 //! * [`extract`] — closed-form per-layer r and c extraction
 //!   (Sakurai–Tamaru), replacing the 3-D field solver.
@@ -55,6 +57,7 @@ pub mod linalg;
 pub mod netlist;
 pub mod ordering;
 pub mod parser;
+pub mod pcg;
 pub mod power_grid;
 pub mod rcline;
 pub mod repeater;

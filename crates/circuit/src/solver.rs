@@ -273,7 +273,7 @@ impl MnaFactorization {
     /// one `health.cond_est` gauge sample — callers decide the
     /// sampling cadence (e.g. [`crate::grid_dc::DcGridSolver`] samples
     /// the first factorization of a pattern and every
-    /// [`crate::grid_dc::COND_RESAMPLE_INTERVAL`]-th refactor).
+    /// [`crate::grid_dc::COND_RESAMPLE_INTERVAL`]-th solve after it).
     #[must_use]
     pub fn condition_estimate(&self) -> Option<f64> {
         let kappa = match self {

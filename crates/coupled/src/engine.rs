@@ -6,11 +6,12 @@
 //!
 //! 1. stamp every branch's conductance from its current temperature,
 //!    `g_b = A / (ρ(T_b)·ℓ)`, and DC-solve the grid — the first solve
-//!    factors the reduced sparse matrix, later solves reuse its
-//!    symbolic structure via `refactor()`;
+//!    factors the reduced sparse matrix, later solves run a PCG
+//!    preconditioned by that factor and refactor only when the PCG
+//!    iterations add up to a refactor's cost;
 //! 2. convert branch currents to Joule powers `P_b = I_b²/g_b`, split
-//!    them onto the end nodes, and solve the chip thermal map (factored
-//!    once — thermal conductances never change);
+//!    them onto the end nodes, and solve the chip thermal map by
+//!    Jacobi-preconditioned CG (never factored);
 //! 3. form the residual `f = G(T) − T` against the substrate-referenced
 //!    field and move every branch temperature by Anderson mixing of the
 //!    last three residual differences (damping `α` is the mixing
@@ -231,8 +232,7 @@ impl CoupledReport {
 }
 
 /// The coupled engine: owns the DC solver (with its reusable
-/// factorization), the factored chip thermal map, and the temperature
-/// state.
+/// factorization), the chip thermal map, and the temperature state.
 #[derive(Debug, Clone)]
 pub struct CoupledEngine {
     spec: CoupledGridSpec,
@@ -256,8 +256,8 @@ pub struct CoupledEngine {
 }
 
 impl CoupledEngine {
-    /// Validates the spec and builds both factorizable systems (the
-    /// thermal one is factored here, once).
+    /// Validates the spec and builds both linear systems (the DC grid
+    /// factors on its first solve; the thermal map is never factored).
     ///
     /// # Errors
     ///
@@ -431,8 +431,8 @@ impl CoupledEngine {
         let metal = &self.spec.metal;
         let pitch = self.spec.pitch.value();
         let area = self.cross_section;
-        // 1. Electrical: restamp ρ(T) and solve (refactor after the
-        //    first iteration).
+        // 1. Electrical: restamp ρ(T) and solve (stale-factor PCG or a
+        //    refactor after the first iteration).
         let electrical_start = hotwire_obs::Stopwatch::start();
         {
             let _t = obs_trace::span("coupled.stamp_time");
@@ -446,8 +446,8 @@ impl CoupledEngine {
             self.solver.solve(&self.branch_g)?;
         }
         let electrical = electrical_start.elapsed();
-        // 2. Thermal: branch Joule powers onto end nodes, one banded
-        //    substitution for the whole chip.
+        // 2. Thermal: branch Joule powers onto end nodes, one
+        //    Jacobi-preconditioned CG solve for the whole chip.
         let thermal_start = hotwire_obs::Stopwatch::start();
         self.node_power.iter_mut().for_each(|p| *p = 0.0);
         let cols = self.spec.cols;

@@ -7,7 +7,7 @@
 //! `hotwire coupled-signoff --trace-out` writes to disk. It answers the
 //! post-mortem questions the scalar report cannot: how fast did the
 //! fixed point settle, did the residual stall before the cap, and which
-//! stage (electrical refactor+solve vs banded thermal substitution)
+//! stage (electrical PCG/refactor solve vs thermal CG solve)
 //! dominated each iteration.
 //!
 //! The registry view is complementary: the `coupled.residual` gauge

@@ -26,61 +26,36 @@
 //! the single-wire limit the eq. 13 solver uses — which is what anchors
 //! the coupled loop's single-wire regression test.
 //!
-//! The conduction matrix is SPD; it is factored **once** per topology
-//! because thermal conductances are independent of the metal
-//! temperature, so every Picard iteration pays only a substitution.
-//! Small grids use a dense-band Cholesky (half-bandwidth = shorter grid
-//! axis with that axis ordered fastest); once the half-bandwidth
-//! exceeds [`SPARSE_BANDWIDTH_THRESHOLD`] the model switches to the
-//! circuit crate's AMD-ordered sparse LDLᵀ, whose fill on a 2-D grid
-//! grows like O(n·log n) against the band's O(n·bw) storage and
-//! O(n·bw²) factor cost.
+//! The conduction matrix is an SPD M-matrix and is never factored.
+//! Every node is tied to the substrate, so the matrix is strongly
+//! diagonally dominant: with `m ≤ 4` incident segments a node's
+//! diagonal is `m·(G_half + G_lat)` against `m·G_lat` off the diagonal,
+//! and in the demo geometry `G_lat ≈ 0.04·G_half`. Jacobi-preconditioned
+//! CG ([`hotwire_circuit::pcg`]) therefore converges in a handful of
+//! stencil sweeps from a cold start. [`ChipThermalModel::new`] only
+//! precomputes the stencil diagonal; see THEORY.md §10 for the
+//! condition-number bound.
 
-use crate::band::{BandedCholesky, BandedSpd};
 use crate::error::ThermalError;
-use hotwire_circuit::cholesky::CholeskyFactorization;
-use hotwire_circuit::sparse::SparseMatrix;
-use hotwire_circuit::CircuitError;
+use hotwire_circuit::pcg::{pcg, PcgWork};
 use hotwire_obs::{metrics, recorder};
 
-/// Half-bandwidth above which [`ChipThermalModel`] abandons the
-/// dense-band Cholesky for the AMD-ordered sparse LDLᵀ. At bw = 64 the
-/// band factor already touches ~bw² = 4096 words per node while the
-/// sparse factor's per-node fill stays in the tens — the crossover is
-/// well before this, but staying banded below it keeps small-grid
-/// results bit-identical to the original implementation.
-const SPARSE_BANDWIDTH_THRESHOLD: usize = 64;
-
-/// The factored conduction system — which backend depends on grid size.
-#[derive(Debug, Clone)]
-enum ChipFactor {
-    /// Dense-band Cholesky with the shorter grid axis ordered fastest.
-    Banded {
-        /// The factored band.
-        factor: BandedCholesky,
-        /// Whether unknowns are stored row-major (`cols ≤ rows`);
-        /// otherwise solves permute row-major ↔ column-fast around the
-        /// band substitution.
-        x_fast: bool,
-    },
-    /// AMD-ordered sparse LDLᵀ over natural row-major unknowns — the
-    /// fill-reducing ordering happens inside the factorization, so no
-    /// axis permutation is needed here.
-    Sparse(Box<CholeskyFactorization>),
-}
-
-/// A factored chip thermal model over a `rows × cols` grid of strap
-/// intersections.
+/// A chip thermal model over a `rows × cols` grid of strap
+/// intersections: the 5-point conduction stencil and the CG work
+/// vectors its solves reuse.
 #[derive(Debug, Clone)]
 pub struct ChipThermalModel {
     rows: usize,
     cols: usize,
+    lateral_g: f64,
     vertical_g: Vec<f64>,
-    factor: ChipFactor,
+    /// Stencil diagonal: vertical plus incident lateral conductances.
+    diag: Vec<f64>,
+    work: PcgWork,
 }
 
 impl ChipThermalModel {
-    /// Builds and factors the conduction system.
+    /// Builds the conduction stencil.
     ///
     /// `lateral_conductance` is the strap-axial metal conductance per
     /// branch, `k_m·W·t_m / ℓ` (W/K); `vertical_half_conductance` is the
@@ -91,9 +66,7 @@ impl ChipThermalModel {
     /// # Errors
     ///
     /// Returns [`ThermalError::InvalidInput`] for a degenerate grid
-    /// (fewer than two intersections) or non-physical conductances, and
-    /// [`ThermalError::NoConvergence`] if factorization fails (cannot
-    /// happen for valid inputs: the system is an M-matrix).
+    /// (fewer than two intersections) or non-physical conductances.
     pub fn new(
         rows: usize,
         cols: usize,
@@ -119,133 +92,34 @@ impl ChipThermalModel {
                 ),
             });
         }
+        metrics::counter("thermal.chip.factor").inc();
+        recorder::record(
+            "thermal.factor",
+            format_args!("chip thermal map {rows}x{cols} (Jacobi-preconditioned CG)"),
+        );
+        let _t = hotwire_obs::trace::span("thermal.chip.factor_time");
         let n = rows * cols;
-        let bw = cols.min(rows);
         let mut vertical_g = vec![0.0; n];
+        let mut diag = vec![0.0; n];
         for r in 0..rows {
             for c in 0..cols {
                 let incident = usize::from(c > 0)
                     + usize::from(c + 1 < cols)
                     + usize::from(r > 0)
                     + usize::from(r + 1 < rows);
-                vertical_g[r * cols + c] = incident as f64 * vertical_half_conductance;
+                let m = incident as f64;
+                vertical_g[r * cols + c] = m * vertical_half_conductance;
+                diag[r * cols + c] = m * vertical_half_conductance + m * lateral_conductance;
             }
         }
-        metrics::counter("thermal.chip.factor").inc();
-        recorder::record(
-            "thermal.factor",
-            format_args!("chip thermal map {rows}x{cols} (bandwidth {bw})"),
-        );
-        let factor = if bw > SPARSE_BANDWIDTH_THRESHOLD {
-            metrics::counter("thermal.chip.sparse_factor").inc();
-            let mut m = SparseMatrix::zeros(n);
-            for r in 0..rows {
-                for c in 0..cols {
-                    let here = r * cols + c;
-                    let mut diag = vertical_g[here];
-                    // Stamp each lateral branch from both endpoints — the
-                    // sparse path wants the full symmetric matrix.
-                    let mut couple = |nbr: usize| {
-                        diag += lateral_conductance;
-                        if lateral_conductance > 0.0 {
-                            m.add(here, nbr, -lateral_conductance);
-                        }
-                    };
-                    if c > 0 {
-                        couple(here - 1);
-                    }
-                    if c + 1 < cols {
-                        couple(here + 1);
-                    }
-                    if r > 0 {
-                        couple(here - cols);
-                    }
-                    if r + 1 < rows {
-                        couple(here + cols);
-                    }
-                    m.add(here, here, diag);
-                }
-            }
-            let f = {
-                let _t = hotwire_obs::trace::span("thermal.chip.factor_time");
-                m.factor_cholesky()
-            }
-            .map_err(|e| match e {
-                CircuitError::NotPositiveDefinite { row } => ThermalError::NoConvergence {
-                    iterations: row,
-                    residual: 0.0,
-                },
-                other => ThermalError::InvalidInput {
-                    message: format!("sparse thermal factorization failed: {other}"),
-                },
-            })?;
-            ChipFactor::Sparse(Box::new(f))
-        } else {
-            // Order unknowns with the shorter axis fastest: bw = min(rows, cols).
-            let x_fast = cols <= rows;
-            let idx = |r: usize, c: usize| -> usize {
-                if x_fast {
-                    r * cols + c
-                } else {
-                    c * rows + r
-                }
-            };
-            let mut a = BandedSpd::new(n, bw)?;
-            for r in 0..rows {
-                for c in 0..cols {
-                    let here = idx(r, c);
-                    let mut diag = vertical_g[r * cols + c];
-                    // Stamp each lateral branch once, from its higher-indexed end.
-                    if c > 0 {
-                        diag += lateral_conductance;
-                        let west = idx(r, c - 1);
-                        if west < here && lateral_conductance > 0.0 {
-                            a.add(here, west, -lateral_conductance);
-                        }
-                    }
-                    if c + 1 < cols {
-                        diag += lateral_conductance;
-                        let east = idx(r, c + 1);
-                        if east < here && lateral_conductance > 0.0 {
-                            a.add(here, east, -lateral_conductance);
-                        }
-                    }
-                    if r > 0 {
-                        diag += lateral_conductance;
-                        let north = idx(r - 1, c);
-                        if north < here && lateral_conductance > 0.0 {
-                            a.add(here, north, -lateral_conductance);
-                        }
-                    }
-                    if r + 1 < rows {
-                        diag += lateral_conductance;
-                        let south = idx(r + 1, c);
-                        if south < here && lateral_conductance > 0.0 {
-                            a.add(here, south, -lateral_conductance);
-                        }
-                    }
-                    a.add(here, here, diag);
-                }
-            }
-            let factor = {
-                let _t = hotwire_obs::trace::span("thermal.chip.factor_time");
-                a.factor()?
-            };
-            ChipFactor::Banded { factor, x_fast }
-        };
         Ok(Self {
             rows,
             cols,
+            lateral_g: lateral_conductance,
             vertical_g,
-            factor,
+            diag,
+            work: PcgWork::default(),
         })
-    }
-
-    /// `true` when this model is served by the AMD-ordered sparse LDLᵀ
-    /// backend rather than the dense-band Cholesky.
-    #[must_use]
-    pub fn uses_sparse_backend(&self) -> bool {
-        matches!(self.factor, ChipFactor::Sparse(_))
     }
 
     /// Number of intersections.
@@ -268,14 +142,21 @@ impl ChipThermalModel {
 
     /// Solves for per-node temperature **rise** above the substrate
     /// reference (K) given per-node powers (W), both row-major
-    /// (`row * cols + col`). Reuses the factorization; the solve is a
-    /// banded substitution.
+    /// (`row * cols + col`). Runs Jacobi-preconditioned CG from a zero
+    /// start, so the result depends on the powers alone; the work
+    /// vectors are reused across calls.
     ///
     /// # Errors
     ///
     /// Returns [`ThermalError::InvalidInput`] on a length mismatch or a
-    /// non-finite/negative power.
-    pub fn solve_into(&self, node_power: &[f64], rise: &mut Vec<f64>) -> Result<(), ThermalError> {
+    /// non-finite/negative power, and [`ThermalError::NoConvergence`]
+    /// if CG fails to reach its residual target within `2n + 100`
+    /// iterations.
+    pub fn solve_into(
+        &mut self,
+        node_power: &[f64],
+        rise: &mut Vec<f64>,
+    ) -> Result<(), ThermalError> {
         let n = self.node_count();
         if node_power.len() != n {
             return Err(ThermalError::InvalidInput {
@@ -291,34 +172,29 @@ impl ChipThermalModel {
         }
         metrics::counter("thermal.chip.solves").inc();
         let _t = hotwire_obs::trace::span("thermal.chip.solve_time");
-        match &self.factor {
-            ChipFactor::Sparse(f) => f.solve_into(node_power, rise),
-            ChipFactor::Banded {
-                factor,
-                x_fast: true,
-            } => factor.solve_into(node_power, rise),
-            ChipFactor::Banded {
-                factor,
-                x_fast: false,
-            } => {
-                // Permute row-major → column-fast, solve, permute back.
-                let (rows, cols) = (self.rows, self.cols);
-                let mut rhs = vec![0.0; n];
-                for r in 0..rows {
-                    for c in 0..cols {
-                        rhs[c * rows + r] = node_power[r * cols + c];
-                    }
+        rise.clear();
+        rise.resize(n, 0.0);
+        // In exact arithmetic CG ends within n iterations; the slack
+        // absorbs rounding on small grids.
+        let cap = 2 * n + 100;
+        let (rows, cols, g, diag) = (self.rows, self.cols, self.lateral_g, &self.diag);
+        let iterations = pcg(
+            |x, y| apply_stencil(rows, cols, g, diag, x, y),
+            |r, z| {
+                for ((zi, ri), di) in z.iter_mut().zip(r).zip(diag) {
+                    *zi = ri / di;
                 }
-                let sol = factor.solve(&rhs);
-                rise.clear();
-                rise.resize(n, 0.0);
-                for r in 0..rows {
-                    for c in 0..cols {
-                        rise[r * cols + c] = sol[c * rows + r];
-                    }
-                }
-            }
-        }
+            },
+            node_power,
+            rise,
+            cap,
+            &mut self.work,
+        )
+        .map_err(|failure| ThermalError::NoConvergence {
+            iterations: failure.iterations,
+            residual: failure.residual_rel,
+        })?;
+        metrics::counter("thermal.chip.cg_iterations").add(iterations as u64);
         Ok(())
     }
 
@@ -328,10 +204,33 @@ impl ChipThermalModel {
     /// # Errors
     ///
     /// As [`ChipThermalModel::solve_into`].
-    pub fn solve(&self, node_power: &[f64]) -> Result<Vec<f64>, ThermalError> {
+    pub fn solve(&mut self, node_power: &[f64]) -> Result<Vec<f64>, ThermalError> {
         let mut rise = Vec::new();
         self.solve_into(node_power, &mut rise)?;
         Ok(rise)
+    }
+}
+
+/// `y = A·x` for the 5-point conduction stencil, row-major.
+fn apply_stencil(rows: usize, cols: usize, g: f64, diag: &[f64], x: &[f64], y: &mut [f64]) {
+    for r in 0..rows {
+        for c in 0..cols {
+            let k = r * cols + c;
+            let mut nbr = 0.0;
+            if c > 0 {
+                nbr += x[k - 1];
+            }
+            if c + 1 < cols {
+                nbr += x[k + 1];
+            }
+            if r > 0 {
+                nbr += x[k - cols];
+            }
+            if r + 1 < rows {
+                nbr += x[k + cols];
+            }
+            y[k] = diag[k] * x[k] - g * nbr;
+        }
     }
 }
 
@@ -352,7 +251,7 @@ mod tests {
     #[test]
     fn zero_lateral_decouples_nodes() {
         // Without metal conduction every node is P/G_v exactly.
-        let m = ChipThermalModel::new(3, 4, 0.0, 0.5).unwrap();
+        let mut m = ChipThermalModel::new(3, 4, 0.0, 0.5).unwrap();
         let p: Vec<f64> = (0..12).map(|k| 0.1 * (k + 1) as f64).collect();
         let t = m.solve(&p).unwrap();
         for r in 0..3 {
@@ -367,7 +266,7 @@ mod tests {
     #[test]
     fn energy_balance_closes_with_lateral_conduction() {
         // All heat must leave through the vertical conductances.
-        let m = ChipThermalModel::new(5, 7, 2.0, 0.3).unwrap();
+        let mut m = ChipThermalModel::new(5, 7, 2.0, 0.3).unwrap();
         let p: Vec<f64> = (0..35).map(|k| ((k * 13) % 7) as f64 * 0.05).collect();
         let t = m.solve(&p).unwrap();
         let total_in: f64 = p.iter().sum();
@@ -389,8 +288,8 @@ mod tests {
         let cols = 5;
         let mut p = vec![0.0; rows * cols];
         p[2 * cols + 2] = 1.0;
-        let isolated = ChipThermalModel::new(rows, cols, 0.0, 0.2).unwrap();
-        let coupled = ChipThermalModel::new(rows, cols, 1.0, 0.2).unwrap();
+        let mut isolated = ChipThermalModel::new(rows, cols, 0.0, 0.2).unwrap();
+        let mut coupled = ChipThermalModel::new(rows, cols, 1.0, 0.2).unwrap();
         let ti = isolated.solve(&p).unwrap();
         let tc = coupled.solve(&p).unwrap();
         // The heated node cools down; its neighbors warm up.
@@ -413,8 +312,8 @@ mod tests {
         // field (exercises both unknown orderings).
         let (rows, cols) = (3, 6);
         let p: Vec<f64> = (0..rows * cols).map(|k| 0.01 * (k % 5) as f64).collect();
-        let wide = ChipThermalModel::new(rows, cols, 0.7, 0.2).unwrap();
-        let tall = ChipThermalModel::new(cols, rows, 0.7, 0.2).unwrap();
+        let mut wide = ChipThermalModel::new(rows, cols, 0.7, 0.2).unwrap();
+        let mut tall = ChipThermalModel::new(cols, rows, 0.7, 0.2).unwrap();
         let tw = wide.solve(&p).unwrap();
         let mut pt = vec![0.0; rows * cols];
         for r in 0..rows {
@@ -434,17 +333,13 @@ mod tests {
 
     #[test]
     fn sparse_backend_engages_and_satisfies_the_stencil() {
-        // Past the bandwidth threshold the model must switch to the
-        // AMD-ordered sparse LDLᵀ and still solve the same physics:
-        // check the finite-volume stencil residual at every node.
+        // A grid past the old band/sparse switch must still solve the
+        // same physics: check the finite-volume stencil residual at
+        // every node.
         let (rows, cols) = (66, 66);
         let gl = 0.8;
         let gh = 0.3;
-        let m = ChipThermalModel::new(rows, cols, gl, gh).unwrap();
-        assert!(m.uses_sparse_backend());
-        assert!(!ChipThermalModel::new(64, 64, gl, gh)
-            .unwrap()
-            .uses_sparse_backend());
+        let mut m = ChipThermalModel::new(rows, cols, gl, gh).unwrap();
         let p: Vec<f64> = (0..rows * cols)
             .map(|k| ((k * 7) % 11) as f64 * 0.02)
             .collect();
@@ -478,7 +373,7 @@ mod tests {
         // 1×2 chain, one branch: both nodes have one incident
         // half-segment. Equal powers ⇒ equal temperatures ⇒ no lateral
         // flow: ΔT = P / G_half regardless of the lateral conductance.
-        let m = ChipThermalModel::new(1, 2, 3.0, 0.25).unwrap();
+        let mut m = ChipThermalModel::new(1, 2, 3.0, 0.25).unwrap();
         let t = m.solve(&[0.5, 0.5]).unwrap();
         assert!((t[0] - 2.0).abs() < 1e-12);
         assert!((t[1] - 2.0).abs() < 1e-12);
@@ -486,7 +381,7 @@ mod tests {
 
     #[test]
     fn input_validation_on_solve() {
-        let m = ChipThermalModel::new(2, 2, 1.0, 1.0).unwrap();
+        let mut m = ChipThermalModel::new(2, 2, 1.0, 1.0).unwrap();
         assert!(m.solve(&[0.0; 3]).is_err());
         assert!(m.solve(&[0.0, 0.0, 0.0, f64::NAN]).is_err());
         assert!(m.solve(&[0.0, 0.0, 0.0, -1.0]).is_err());

@@ -35,6 +35,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::io::Write;
 use std::process::ExitCode;
 
 use hotwire::circuit::repeater::{optimal_design, simulate_repeater, RepeaterSimOptions};
@@ -156,6 +157,23 @@ const EXIT_USAGE: u8 = 2;
 const EXIT_VIOLATION: u8 = 3;
 /// Exit code of an internal/solver failure.
 const EXIT_INTERNAL: u8 = 1;
+/// Exit code when the reader of stdout went away: not a failure.
+const EXIT_PIPE_CLOSED: u8 = 0;
+
+/// `println!` that returns a failed stdout write as a [`CliError`]
+/// instead of panicking, so `hotwire … | head` ends quietly.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(CliError::stdout)
+    };
+}
+
+/// `print!` counterpart of [`outln!`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout(), $($arg)*).map_err(CliError::stdout)
+    };
+}
 
 /// A classified CLI failure, so scripts can tell "you typed it wrong"
 /// (exit 2) from "the design fails signoff" (exit 3) from "the engine
@@ -169,6 +187,8 @@ enum CliError {
     /// The engine failed; carries the typed error so the full
     /// `source()` chain reaches the error report.
     Internal(Box<dyn std::error::Error>),
+    /// Stdout's reader closed the pipe; the process ends quietly.
+    BrokenPipe,
 }
 
 impl CliError {
@@ -192,11 +212,22 @@ impl CliError {
         }))
     }
 
+    /// Classifies a failed stdout write: a closed pipe is
+    /// [`CliError::BrokenPipe`], anything else internal.
+    fn stdout(e: std::io::Error) -> Self {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            Self::BrokenPipe
+        } else {
+            Self::context("cannot write to stdout", e)
+        }
+    }
+
     fn exit_code(&self) -> u8 {
         match self {
             Self::Usage(_) => EXIT_USAGE,
             Self::Violation(_) => EXIT_VIOLATION,
             Self::Internal(_) => EXIT_INTERNAL,
+            Self::BrokenPipe => EXIT_PIPE_CLOSED,
         }
     }
 
@@ -205,6 +236,7 @@ impl CliError {
             Self::Usage(_) => "usage",
             Self::Violation(_) => "violation",
             Self::Internal(_) => "internal",
+            Self::BrokenPipe => "broken-pipe",
         }
     }
 
@@ -228,6 +260,7 @@ impl fmt::Display for CliError {
         match self {
             Self::Usage(m) | Self::Violation(m) => f.write_str(m),
             Self::Internal(e) => write!(f, "{e}"),
+            Self::BrokenPipe => f.write_str("stdout closed"),
         }
     }
 }
@@ -329,6 +362,7 @@ fn main() -> ExitCode {
     }
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::BrokenPipe) => ExitCode::from(EXIT_PIPE_CLOSED),
         Err(e) => {
             report_error(&e, config.format);
             ExitCode::from(e.exit_code())
@@ -373,9 +407,11 @@ fn trace_format(opts: &Flags, command: &str) -> Result<TraceFormat, CliError> {
 
 fn run(args: &[String]) -> Result<(), CliError> {
     let Some(command) = args.first() else {
-        print_help();
-        return Ok(());
+        return print_help();
     };
+    if args[1..].iter().any(|a| a == "--help" || a == "-h") {
+        return print_help();
+    }
     // `trace` and `doctor` take positional files, which the strict
     // `--flag value` parser below would reject — dispatch them first.
     if command == "trace" {
@@ -402,10 +438,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "serve" => cmd_serve(&opts),
         "simulate" => cmd_simulate(&opts),
         "techfile" => cmd_techfile(&opts),
-        "help" | "--help" | "-h" => {
-            print_help();
-            Ok(())
-        }
+        "help" | "--help" | "-h" => print_help(),
         other => Err(CliError::usage(format!(
             "unknown command `{other}` (try `hotwire help`)"
         ))),
@@ -438,7 +471,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     // gave us somewhere to put it. A usage error recorded nothing worth
     // bundling.
     if let (Err(e), Some(dir)) = (&outcome, opts.get("bundle-dir")) {
-        if !matches!(e, CliError::Usage(_)) {
+        if !matches!(e, CliError::Usage(_) | CliError::BrokenPipe) {
             let health = bundle_state::take_health();
             let hash = spec_hash(args);
             match hotwire::obs::recorder::write_bundle(
@@ -462,8 +495,8 @@ fn write_json_file(path: &str, json: &Json) -> Result<(), CliError> {
         .map_err(|e| CliError::context(format!("cannot write {path}"), e))
 }
 
-fn print_help() {
-    println!(
+fn print_help() -> Result<(), CliError> {
+    outln!(
         "hotwire — self-consistent EM + self-heating interconnect design rules\n\
          (reproduction of Banerjee et al., DAC 1999)\n\n\
          usage: hotwire <command> [--flag value]...\n\n\
@@ -530,7 +563,7 @@ fn print_help() {
                      JSON there (analyze with `hotwire doctor`)\n\n\
          exit codes: 0 ok, 1 internal failure, 2 usage, 3 signoff violation\n\n\
          presets: ntrs-250, ntrs-100, ntrs-250-alcu, ntrs-100-alcu"
-    );
+    )
 }
 
 type Flags = HashMap<String, String>;
@@ -625,22 +658,22 @@ fn cmd_solve(opts: &Flags) -> Result<(), CliError> {
     let tech = load_tech(opts)?;
     let (problem, label) = build_problem(opts, &tech)?;
     let sol = problem.solve().map_err(CliError::internal)?;
-    println!("{} {label} @ r = {}", tech.name(), problem.duty_cycle());
-    println!("  T_m      = {:.2}", sol.metal_temperature.to_celsius());
-    println!("  ΔT       = {:.2}", sol.temperature_rise);
-    println!(
+    outln!("{} {label} @ r = {}", tech.name(), problem.duty_cycle())?;
+    outln!("  T_m      = {:.2}", sol.metal_temperature.to_celsius())?;
+    outln!("  ΔT       = {:.2}", sol.temperature_rise)?;
+    outln!(
         "  j_peak   = {:.3} MA/cm²   (EM-only would allow {:.3})",
         sol.j_peak.to_mega_amps_per_cm2(),
         problem.em_only_peak().to_mega_amps_per_cm2()
-    );
-    println!(
+    )?;
+    outln!(
         "  j_rms    = {:.3} MA/cm²",
         sol.j_rms.to_mega_amps_per_cm2()
-    );
-    println!(
+    )?;
+    outln!(
         "  j_avg    = {:.3} MA/cm²",
         sol.j_avg.to_mega_amps_per_cm2()
-    );
+    )?;
     Ok(())
 }
 
@@ -651,12 +684,12 @@ fn cmd_rules(opts: &Flags) -> Result<(), CliError> {
     let levels = parse_f64(opts, "levels", 2.0)? as usize;
     let spec = DesignRuleSpec::paper_defaults(&tech, levels, j0);
     let table = DesignRuleTable::generate(&spec).map_err(CliError::internal)?;
-    println!(
+    outln!(
         "{} — max allowed j_peak [MA/cm²], j0 = {:.2e} A/cm²\n",
         tech.name(),
         j0.to_amps_per_cm2()
-    );
-    print!("{table}");
+    )?;
+    out!("{table}")?;
     Ok(())
 }
 
@@ -667,15 +700,15 @@ fn cmd_sweep(opts: &Flags) -> Result<(), CliError> {
     let points = parse_f64(opts, "points", 17.0)? as usize;
     let rs = log_spaced(1.0e-4, 1.0, points.max(2));
     let sweep = duty_cycle_sweep(&problem, &rs).map_err(CliError::internal)?;
-    println!("r,metal_temperature_c,j_peak_ma_cm2,em_only_peak_ma_cm2");
+    outln!("r,metal_temperature_c,j_peak_ma_cm2,em_only_peak_ma_cm2")?;
     for p in sweep {
-        println!(
+        outln!(
             "{:.6e},{:.3},{:.4},{:.4}",
             p.duty_cycle,
             p.solution.metal_temperature.to_celsius().value(),
             p.solution.j_peak.to_mega_amps_per_cm2(),
             p.em_only_peak.to_mega_amps_per_cm2()
-        );
+        )?;
     }
     Ok(())
 }
@@ -687,22 +720,22 @@ fn cmd_repeater(opts: &Flags) -> Result<(), CliError> {
         .layer(layer_name)
         .ok_or_else(|| CliError::usage(format!("technology has no layer `{layer_name}`")))?;
     let design = optimal_design(&tech, layer.index()).map_err(CliError::internal)?;
-    println!("{} {layer_name} — delay-optimal buffering:", tech.name());
-    println!(
+    outln!("{} {layer_name} — delay-optimal buffering:", tech.name())?;
+    outln!(
         "  l_opt = {:.2} mm, s_opt = {:.0}×min, est. stage delay {:.1} ps",
         design.l_opt.value() * 1e3,
         design.s_opt,
         design.stage_delay * 1e12
-    );
+    )?;
     let report = simulate_repeater(&tech, layer.index(), RepeaterSimOptions::default())
         .map_err(CliError::internal)?;
-    println!(
+    outln!(
         "  simulated: j_peak {:.2} MA/cm², j_rms {:.2} MA/cm², r_eff {:.3}, slew {:.3}",
         report.j_peak().to_mega_amps_per_cm2(),
         report.j_rms().to_mega_amps_per_cm2(),
         report.effective_duty_cycle,
         report.relative_slew
-    );
+    )?;
     Ok(())
 }
 
@@ -745,19 +778,19 @@ fn cmd_esd(opts: &Flags) -> Result<(), CliError> {
         &stress,
     )
     .map_err(CliError::internal)?;
-    println!(
+    outln!(
         "{} line {:.2} × {:.2} µm under {stress:?}:",
         metal.name(),
         width.to_micrometers(),
         thickness.to_micrometers()
-    );
-    println!(
+    )?;
+    outln!(
         "  outcome {:?}, peak {:.0} °C, j_peak {:.1} MA/cm², EM lifetime ×{:.2}",
         verdict.outcome,
         verdict.peak_temperature.to_celsius().value(),
         verdict.peak_density.to_mega_amps_per_cm2(),
         verdict.em_lifetime_factor
-    );
+    )?;
     Ok(())
 }
 
@@ -817,12 +850,17 @@ fn cmd_signoff(opts: &Flags) -> Result<(), CliError> {
         config.j0 = CurrentDensity::from_amps_per_cm2(v);
     }
     let verdicts = signoff(&tech, &config, &nets).map_err(CliError::internal)?;
-    println!(
+    outln!(
         "{:<16}{:>8}{:>18}{:>14}{:>18}{:>10}",
-        "net", "layer", "allowed [MA/cm²]", "utilization", "governing", "verdict"
-    );
+        "net",
+        "layer",
+        "allowed [MA/cm²]",
+        "utilization",
+        "governing",
+        "verdict"
+    )?;
     for (v, n) in verdicts.iter().zip(&nets) {
-        println!(
+        outln!(
             "{:<16}{:>8}{:>18.2}{:>14.2}{:>18}{:>10}",
             v.net,
             n.layer,
@@ -830,17 +868,18 @@ fn cmd_signoff(opts: &Flags) -> Result<(), CliError> {
             v.utilization,
             v.governing.label(),
             if v.passes() { "pass" } else { "VIOLATION" },
-        );
+        )?;
     }
     let violations = ranked_violations(&verdicts);
     if violations.is_empty() {
-        println!("all {} nets pass", verdicts.len());
+        outln!("all {} nets pass", verdicts.len())?;
         Ok(())
     } else {
-        println!(
+        outln!(
             "worst offender: {} ({:.2}×)",
-            violations[0].net, violations[0].utilization
-        );
+            violations[0].net,
+            violations[0].utilization
+        )?;
         Err(CliError::violation(format!(
             "{} net(s) violate their rules",
             violations.len()
@@ -946,24 +985,24 @@ fn cmd_coupled_signoff(opts: &Flags, format: TraceFormat) -> Result<(), CliError
     }
     run_result.map_err(coupled_error)?;
     let report = engine.assess().map_err(coupled_error)?;
-    println!(
+    outln!(
         "{rows}×{cols} grid: fixed point in {} iterations (last max |dT| = {:.3e} K)",
         report.iterations,
         report.iteration_deltas.last().copied().unwrap_or(0.0)
-    );
-    println!(
+    )?;
+    outln!(
         "  worst IR drop  = {:.1} mV at node ({}, {})",
         report.worst_ir_drop.value() * 1e3,
         report.worst_node.0,
         report.worst_node.1
-    );
-    println!(
+    )?;
+    outln!(
         "  peak strap T   = {:.2} ({:.2})",
         report.peak_temperature.to_celsius(),
         report.peak_temperature
-    );
+    )?;
     match report.chip_ttf {
-        Some(ttf) => println!(
+        Some(ttf) => outln!(
             "  chip TTF       = {:.2e} h at the {:.0e} failure quantile ({} mortal straps)",
             ttf.value() / 3600.0,
             options_quantile,
@@ -971,28 +1010,32 @@ fn cmd_coupled_signoff(opts: &Flags, format: TraceFormat) -> Result<(), CliError
                 .chip_failure
                 .as_ref()
                 .map_or(0, hotwire::em::lifetime::WeakestLinkPopulation::len)
-        ),
-        None => println!("  chip TTF       = unbounded (every strap Blech-immortal or idle)"),
+        )?,
+        None => outln!("  chip TTF       = unbounded (every strap Blech-immortal or idle)")?,
     }
     let violations = report.violations();
     if violations.is_empty() {
-        println!("all {} straps pass", report.branches.len());
+        outln!("all {} straps pass", report.branches.len())?;
         Ok(())
     } else {
-        println!("\ntop violations (of {}):", violations.len());
-        println!(
+        outln!("\ntop violations (of {}):", violations.len())?;
+        outln!(
             "{:<26}{:>14}{:>16}{:>12}{:>18}",
-            "strap", "T_m [°C]", "j [MA/cm²]", "util", "governing"
-        );
+            "strap",
+            "T_m [°C]",
+            "j [MA/cm²]",
+            "util",
+            "governing"
+        )?;
         for v in violations.iter().take(10) {
-            println!(
+            outln!(
                 "{:<26}{:>14.1}{:>16.2}{:>12.2}{:>18}",
                 v.verdict.net,
                 v.temperature.to_celsius().value(),
                 v.density.to_mega_amps_per_cm2(),
                 v.verdict.utilization,
                 v.verdict.governing.label(),
-            );
+            )?;
         }
         Err(CliError::violation(format!(
             "{} strap(s) violate their rules",
@@ -1063,7 +1106,7 @@ fn cmd_tree_signoff(opts: &Flags) -> Result<(), CliError> {
         }
     }
 
-    println!(
+    outln!(
         "{} tree(s) from {path} at {:.1} ({} horizon: {:.1} years)",
         trees.len(),
         temperature.to_celsius(),
@@ -1073,11 +1116,15 @@ fn cmd_tree_signoff(opts: &Flags) -> Result<(), CliError> {
             "signoff"
         },
         horizon.to_years()
-    );
-    println!(
+    )?;
+    outln!(
         "{:<16}{:>10}{:>16}{:>14}  {:>28}",
-        "tree", "segments", "peak σ [MPa]", "immortal", "outcome"
-    );
+        "tree",
+        "segments",
+        "peak σ [MPa]",
+        "immortal",
+        "outcome"
+    )?;
     let sigma_crit = model.critical_stress();
     let mut failures: Vec<Seconds> = Vec::new();
     let mut mortal_unresolved = 0usize;
@@ -1100,20 +1147,20 @@ fn cmd_tree_signoff(opts: &Flags) -> Result<(), CliError> {
         // Cathode = tree-local node where the steady tensile peak sits;
         // name it in netlist terms so the report is actionable.
         let peak_mpa = s.max_tensile.value() * 1e-6;
-        println!(
+        outln!(
             "{:<16}{:>10}{:>16.1}{:>14}  {:>28}",
             e.tree.name(),
             e.tree.segments().len(),
             peak_mpa,
             if s.immortal { "yes" } else { "no" },
             outcome
-        );
+        )?;
     }
-    println!(
+    outln!(
         "σ_crit = {:.0} MPa ({}, Blech-calibrated at 100 °C)",
         sigma_crit.value() * 1e-6,
         metal_name
-    );
+    )?;
     if !failures.is_empty() {
         let mut members = Vec::with_capacity(failures.len());
         for &t in &failures {
@@ -1125,11 +1172,11 @@ fn cmd_tree_signoff(opts: &Flags) -> Result<(), CliError> {
         let pop = hotwire::em::lifetime::WeakestLinkPopulation::new(members)
             .map_err(CliError::internal)?;
         let ttf = pop.time_to_fraction(quantile).map_err(CliError::internal)?;
-        println!(
+        outln!(
             "chip TTF = {} at the {quantile:.0e} failure quantile ({} failing tree(s))",
             format_horizon_time(ttf),
             failures.len()
-        );
+        )?;
         return Err(CliError::violation(format!(
             "{} tree(s) fail within the {:.1}-year horizon",
             failures.len(),
@@ -1142,7 +1189,7 @@ fn cmd_tree_signoff(opts: &Flags) -> Result<(), CliError> {
              --steady-only for nucleation/growth times)"
         )));
     }
-    println!("all trees survive the horizon");
+    outln!("all trees survive the horizon")?;
     Ok(())
 }
 
@@ -1171,7 +1218,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), CliError> {
     shutdown::install_usr1();
     // On stdout (not a trace event) so scripts and the e2e test can
     // scrape the ephemeral port without parsing log formats.
-    println!("listening on http://{bound} (/metrics /healthz POST /signoff)");
+    outln!("listening on http://{bound} (/metrics /healthz POST /signoff)")?;
     server
         .run(&config, &stop)
         .map_err(|e| CliError::context("server failed", e))
@@ -1212,20 +1259,20 @@ fn cmd_simulate(opts: &Flags) -> Result<(), CliError> {
         },
     )
     .map_err(CliError::internal)?;
-    println!("time_s,{}", probes.join(","));
+    outln!("time_s,{}", probes.join(","))?;
     for (k, t) in result.times.iter().enumerate() {
         let mut row = format!("{t:.6e}");
         for &id in &probe_ids {
             row.push_str(&format!(",{:.6e}", result.voltage_at(id, k)));
         }
-        println!("{row}");
+        outln!("{row}")?;
     }
     Ok(())
 }
 
 fn cmd_techfile(opts: &Flags) -> Result<(), CliError> {
     let tech = load_tech(opts)?;
-    print!("{}", techformat::serialize(&tech));
+    out!("{}", techformat::serialize(&tech))?;
     Ok(())
 }
 
@@ -1290,13 +1337,13 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
 
     if folded_only {
         for (stack, us) in trace.folded() {
-            println!("{stack} {us}");
+            outln!("{stack} {us}")?;
         }
         return Ok(());
     }
 
     if !trace.telemetry {
-        println!("(captured by a no-telemetry build: no spans recorded)");
+        outln!("(captured by a no-telemetry build: no spans recorded)")?;
     }
     let threads = {
         let mut tids: Vec<u64> = trace.spans.iter().map(|s| s.tid).collect();
@@ -1309,23 +1356,27 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
         .iter()
         .map(|s| s.start_us + s.dur_us)
         .fold(0.0_f64, f64::max);
-    println!(
+    outln!(
         "{}: {} span(s) on {} thread(s), {:.2} ms wall",
         path,
         trace.spans.len(),
         threads,
         wall_us / 1e3
-    );
+    )?;
 
     let summary = trace.self_time();
     if !summary.is_empty() {
-        println!(
+        outln!(
             "\n{:<34}{:>8}{:>14}{:>14}{:>8}",
-            "span", "count", "total [ms]", "self [ms]", "self %"
-        );
+            "span",
+            "count",
+            "total [ms]",
+            "self [ms]",
+            "self %"
+        )?;
         let grand_self: f64 = summary.iter().map(|r| r.self_us).sum();
         for r in &summary {
-            println!(
+            outln!(
                 "{:<34}{:>8}{:>14.3}{:>14.3}{:>8.1}",
                 r.name,
                 r.count,
@@ -1336,15 +1387,15 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
                 } else {
                     0.0
                 }
-            );
+            )?;
         }
     }
 
     let paths = trace.critical_paths(root);
     if paths.is_empty() {
-        println!("\nno `{root}` spans for critical-path extraction");
+        outln!("\nno `{root}` spans for critical-path extraction")?;
     } else {
-        println!("\ncritical path per `{root}` span (slowest child chain):");
+        outln!("\ncritical path per `{root}` span (slowest child chain):")?;
         for p in &paths {
             let mut line = format!("  {} {:.3} ms", p.root.name, p.root.dur_us / 1e3);
             for (k, v) in &p.root.args {
@@ -1353,15 +1404,15 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
             for s in &p.steps {
                 line.push_str(&format!(" -> {} {:.3} ms", s.name, s.dur_us / 1e3));
             }
-            println!("{line}");
+            outln!("{line}")?;
         }
     }
 
     let folded = trace.folded();
     if !folded.is_empty() {
-        println!("\nfolded stacks (pipe `hotwire trace <capture> --folded` into inferno):");
+        outln!("\nfolded stacks (pipe `hotwire trace <capture> --folded` into inferno):")?;
         for (stack, us) in folded {
-            println!("{stack} {us}");
+            outln!("{stack} {us}")?;
         }
     }
     Ok(())
@@ -1411,14 +1462,14 @@ fn cmd_doctor(args: &[String]) -> Result<(), CliError> {
     let str_of = |key: &str| doc.get(key).and_then(Json::as_str).unwrap_or("?");
     let reason = str_of("reason");
     let detail = str_of("detail");
-    println!("{path}: diagnostic bundle ({schema})");
-    println!("  version:   hotwire {}", str_of("version"));
-    println!("  reason:    {reason} — {detail}");
+    outln!("{path}: diagnostic bundle ({schema})")?;
+    outln!("  version:   hotwire {}", str_of("version"))?;
+    outln!("  reason:    {reason} — {detail}")?;
     if let Some(hash) = doc.get("spec_hash").and_then(Json::as_str) {
-        println!("  spec hash: {hash}");
+        outln!("  spec hash: {hash}")?;
     }
     if let Some(ms) = doc.get("generated_unix_ms").and_then(Json::as_f64) {
-        println!("  generated: {:.0} (unix ms)", ms);
+        outln!("  generated: {:.0} (unix ms)", ms)?;
     }
     let events = doc
         .get("events")
@@ -1429,12 +1480,12 @@ fn cmd_doctor(args: &[String]) -> Result<(), CliError> {
         .and_then(Json::as_u64)
         .unwrap_or(events.len() as u64);
     if recorded > events.len() as u64 {
-        println!(
+        outln!(
             "  events:    {} retained of {recorded} recorded (ring wrapped)",
             events.len()
-        );
+        )?;
     } else {
-        println!("  events:    {} recorded", events.len());
+        outln!("  events:    {} recorded", events.len())?;
     }
 
     // The embedded health report, when the failing layer produced one.
@@ -1443,31 +1494,31 @@ fn cmd_doctor(args: &[String]) -> Result<(), CliError> {
         .and_then(|h| HealthReport::from_json(h).ok());
     if let Some(h) = &health {
         let opt = |v: Option<f64>| v.map_or_else(|| "—".to_owned(), |x| format!("{x:.3e}"));
-        println!("\nnumerical health:");
-        println!(
+        outln!("\nnumerical health:")?;
+        outln!(
             "  picard:        {} (contraction {:.3}, {} iteration(s), last delta {:.3e} vs tolerance {:.3e})",
             h.picard.class.label(),
             h.picard.contraction,
             h.iterations,
             h.last_delta,
             h.tolerance
-        );
+        )?;
         if let Some(n) = h.picard.predicted_iterations {
-            println!("  predicted:     ~{n} more iteration(s) to converge at the fitted rate");
+            outln!("  predicted:     ~{n} more iteration(s) to converge at the fitted rate")?;
         }
-        println!("  cond estimate: {}", opt(h.condition_estimate));
-        println!("  residual:      {}", opt(h.residual_rel));
-        println!("  kcl imbalance: {}", opt(h.kcl_imbalance_rel));
-        println!("  pivot growth:  {}", opt(h.pivot_growth));
+        outln!("  cond estimate: {}", opt(h.condition_estimate))?;
+        outln!("  residual:      {}", opt(h.residual_rel))?;
+        outln!("  kcl imbalance: {}", opt(h.kcl_imbalance_rel))?;
+        outln!("  pivot growth:  {}", opt(h.pivot_growth))?;
     }
 
     if !events.is_empty() {
-        println!("\ntimeline (ms since first recorded event):");
+        outln!("\ntimeline (ms since first recorded event):")?;
         for e in events {
             let t = e.get("t_ms").and_then(Json::as_f64).unwrap_or(0.0);
             let kind = e.get("kind").and_then(Json::as_str).unwrap_or("?");
             let d = e.get("detail").and_then(Json::as_str).unwrap_or("");
-            println!("  [{t:>10.3}] {kind:<22} {d}");
+            outln!("  [{t:>10.3}] {kind:<22} {d}")?;
         }
     }
 
@@ -1571,9 +1622,9 @@ fn cmd_doctor(args: &[String]) -> Result<(), CliError> {
             ],
         )
     };
-    println!("\ndiagnosis: {diagnosis}");
+    outln!("\ndiagnosis: {diagnosis}")?;
     for hint in &hints {
-        println!("  - {hint}");
+        outln!("  - {hint}")?;
     }
     Ok(())
 }

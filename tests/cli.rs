@@ -37,6 +37,58 @@ fn help_lists_commands() {
 }
 
 #[test]
+fn help_after_any_subcommand_prints_usage() {
+    for args in [
+        &["coupled-signoff", "--help"][..],
+        &["coupled-signoff", "-h"],
+        &["coupled-signoff", "--rows", "4", "--help"],
+        &["trace", "--help"],
+        &["doctor", "-h"],
+        &["serve", "--help"],
+    ] {
+        let (code, stdout, stderr) = hotwire_status(args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        assert!(stdout.contains("usage: hotwire"), "{args:?}: {stdout}");
+    }
+}
+
+#[test]
+fn closed_stdout_is_a_quiet_success() {
+    // The reader goes away before the first report line is written:
+    // every write then fails with EPIPE, which must end the process
+    // with exit 0, nothing on stderr and no diagnostic bundle.
+    let dir = std::env::temp_dir().join(format!("hotwire-epipe-{}", std::process::id()));
+    let dir_arg = dir.to_string_lossy().into_owned();
+    for args in [
+        &[
+            "sweep", "--tech", "ntrs-250", "--layer", "M6", "--points", "64",
+        ][..],
+        &[
+            "coupled-signoff",
+            "--rows",
+            "30",
+            "--cols",
+            "30",
+            "--bundle-dir",
+            &dir_arg,
+        ],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_hotwire"))
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+    assert!(!dir.exists(), "a closed pipe must not write a bundle");
+}
+
+#[test]
 fn solve_reports_the_operating_point() {
     let (ok, stdout, _) = hotwire(&[
         "solve",

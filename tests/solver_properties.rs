@@ -1,8 +1,10 @@
 //! Property tests for the dense/sparse solver stack: on random
 //! SPD grid-shaped systems (the structure every power-grid and RC-mesh
 //! MNA matrix has), the sparse LU must agree with the dense LU to 1e-9,
-//! and factorization reuse must not change answers.
+//! and factorization reuse — including the DC grid's stale-factor PCG —
+//! must not change answers.
 
+use hotwire_circuit::grid_dc::DcGridSolver;
 use hotwire_circuit::linalg::Matrix;
 use hotwire_circuit::solver::MnaMatrix;
 use hotwire_circuit::sparse::SparseMatrix;
@@ -128,5 +130,85 @@ proptest! {
         for (a, s) in xd.iter().zip(&xs) {
             prop_assert!((a - s).abs() < 1e-9);
         }
+    }
+}
+
+/// Splitmix64 — derives a whole restamp sequence from one seed.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Uniform in `[lo, hi)`.
+fn uniform(state: &mut u64, lo: f64, hi: f64) -> f64 {
+    lo + (hi - lo) * ((splitmix(state) >> 11) as f64 / (1u64 << 53) as f64)
+}
+
+/// A `rows × cols` mesh with `pads` random nodes pinned at 1 V and a
+/// random sink on every node, all drawn from `seed`.
+fn dc_mesh(rows: usize, cols: usize, pads: usize, seed: u64) -> DcGridSolver {
+    let mut state = seed;
+    let mut branches = Vec::new();
+    for r in 0..rows {
+        for c in 0..cols {
+            if c + 1 < cols {
+                branches.push((r * cols + c, r * cols + c + 1));
+            }
+            if r + 1 < rows {
+                branches.push((r * cols + c, (r + 1) * cols + c));
+            }
+        }
+    }
+    let n = rows * cols;
+    let pinned: Vec<(usize, f64)> = (0..pads)
+        .map(|_| ((splitmix(&mut state) % n as u64) as usize, 1.0))
+        .collect();
+    let mut solver = DcGridSolver::new(n, branches, &pinned, 1e-12).unwrap();
+    for node in 0..n {
+        solver.set_sink(node, uniform(&mut state, 0.0, 1e-3));
+    }
+    solver
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn stale_factor_pcg_matches_a_fresh_solver_on_every_stamp(
+        rows in 15usize..=40,
+        cols in 15usize..=40,
+        pads in 1usize..=4,
+        stamps in 3usize..=8,
+        seed in any::<u64>(),
+    ) {
+        let mut reused = dc_mesh(rows, cols, pads, seed);
+        let mut state = !seed;
+        let mut g: Vec<f64> = (0..reused.branch_count())
+            .map(|_| uniform(&mut state, 0.5, 2.0))
+            .collect();
+        for stamp in 0..stamps {
+            // The second stamp repeats the first (a Picard step whose
+            // temperatures did not move); the others scale every branch
+            // by up to ±50 %, at a per-stamp amplitude spanning decades.
+            if stamp > 1 {
+                let amplitude = 0.5 * 10f64.powf(uniform(&mut state, -6.0, 0.0));
+                for gb in &mut g {
+                    *gb *= 1.0 + amplitude * uniform(&mut state, -1.0, 1.0);
+                }
+            }
+            reused.solve(&g).unwrap();
+            let mut fresh = dc_mesh(rows, cols, pads, seed);
+            fresh.solve(&g).unwrap();
+            for (k, (a, b)) in reused.node_voltages().iter().zip(fresh.node_voltages()).enumerate() {
+                prop_assert!(
+                    (a - b).abs() <= 1e-9,
+                    "stamp {} node {}: reused {} vs fresh {}", stamp, k, a, b
+                );
+            }
+        }
+        prop_assert!(reused.pcg_solve_count() >= 1, "no solve was served by PCG");
     }
 }
