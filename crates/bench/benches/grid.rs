@@ -1,11 +1,11 @@
-//! Criterion benchmarks for the finite-volume cross-section solver —
-//! including the direct-vs-SOR linear-solver ablation called out in
-//! DESIGN.md.
+//! Criterion benchmarks for the finite-volume cross-section solver across
+//! mesh densities, and for the DC power-grid solve (direct sparse vs the
+//! seed's dense path).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotwire_bench::baseline;
 use hotwire_circuit::power_grid::{PowerGrid, PowerGridSpec};
-use hotwire_thermal::grid2d::{MeshControl, SingleWireStructure, SolveOptions};
+use hotwire_thermal::grid2d::{MeshControl, SingleWireStructure};
 use hotwire_units::{Area, Current, Length, Resistance, Voltage};
 
 fn um(v: f64) -> Length {
@@ -22,42 +22,10 @@ fn bench_mesh_density(c: &mut Criterion) {
             &cell_um,
             |b, &cell| {
                 let control = MeshControl::resolving(um(cell), 1);
-                b.iter(|| {
-                    black_box(
-                        sw.solve(um(6.0), control, SolveOptions::default())
-                            .unwrap()
-                            .rise_per_line_power(),
-                    )
-                });
+                b.iter(|| black_box(sw.solve(um(6.0), control).unwrap().rise_per_line_power()));
             },
         );
     }
-    group.finish();
-}
-
-fn bench_direct_vs_sor(c: &mut Criterion) {
-    let sw = SingleWireStructure::all_oxide(um(1.0), um(0.55), um(1.2));
-    let control = MeshControl::resolving(um(0.12), 1);
-    let mut group = c.benchmark_group("grid2d_linear_solver_ablation");
-    group.sample_size(10);
-    group.bench_function("direct_cholesky", |b| {
-        b.iter(|| {
-            black_box(
-                sw.solve(um(4.0), control, SolveOptions::default())
-                    .unwrap()
-                    .rise_per_line_power(),
-            )
-        });
-    });
-    group.bench_function("sor", |b| {
-        b.iter(|| {
-            black_box(
-                sw.solve(um(4.0), control, SolveOptions::sor())
-                    .unwrap()
-                    .rise_per_line_power(),
-            )
-        });
-    });
     group.finish();
 }
 
@@ -108,7 +76,6 @@ fn bench_power_grid_seed_path(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_mesh_density,
-    bench_direct_vs_sor,
     bench_power_grid_analyze,
     bench_power_grid_seed_path
 );

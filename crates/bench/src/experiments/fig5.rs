@@ -7,7 +7,7 @@
 //! DESIGN.md's substitution table).
 
 use hotwire_tech::Dielectric;
-use hotwire_thermal::grid2d::{MeshControl, SingleWireStructure, SolveOptions};
+use hotwire_thermal::grid2d::{MeshControl, SingleWireStructure};
 use hotwire_thermal::ThermalError;
 use hotwire_units::Length;
 
@@ -29,15 +29,14 @@ pub type Fig5Row = (f64, f64, f64);
 pub fn series() -> Result<(Vec<Fig5Row>, f64), ThermalError> {
     let um = Length::from_micrometers;
     let control = MeshControl::resolving(um(0.07), 1);
-    let options = SolveOptions::default();
     let length = um(1000.0);
     let mut rows = Vec::new();
     let mut phi = 0.0;
     for &w in &WIDTHS_UM {
         let oxide = SingleWireStructure::all_oxide(um(w), um(0.55), um(1.2));
         let hsq = oxide.clone().with_gap_fill(Dielectric::hsq());
-        let sol_ox = oxide.solve(um(6.0), control, options)?;
-        let sol_hsq = hsq.solve(um(6.0), control, options)?;
+        let sol_ox = oxide.solve(um(6.0), control)?;
+        let sol_hsq = hsq.solve(um(6.0), control)?;
         if (w - WIDTHS_UM[0]).abs() < 1e-12 {
             phi = sol_ox.phi();
         }

@@ -10,7 +10,7 @@
 use hotwire_core::rules::array_comparison;
 use hotwire_core::{CoreError, SelfConsistentProblem};
 use hotwire_tech::{presets, Dielectric};
-use hotwire_thermal::grid2d::{ArrayLevel, ArrayStructure, MeshControl, SolveOptions};
+use hotwire_thermal::grid2d::{ArrayLevel, ArrayStructure, MeshControl};
 use hotwire_thermal::impedance::LineGeometry;
 use hotwire_units::{CurrentDensity, Length};
 
@@ -47,13 +47,12 @@ pub fn run() -> Result<(), CoreError> {
     println!("Table 7 — M4 in a dense 4-level array (all lines hot) vs isolated M4\n");
     let array = fig8_array();
     let control = MeshControl::resolving(Length::from_micrometers(0.1), 1);
-    let options = SolveOptions::default();
     let heated = vec![true; 4];
     let rise_dense = array
-        .solve_rise(&heated, true, 3, control, options)
+        .solve_rise(&heated, true, 3, control)
         .map_err(CoreError::Thermal)?;
     let rise_isolated = array
-        .solve_rise(&heated, false, 3, control, options)
+        .solve_rise(&heated, false, 3, control)
         .map_err(CoreError::Thermal)?;
 
     let tech = presets::ntrs_250nm();

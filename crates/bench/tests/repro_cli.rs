@@ -44,6 +44,22 @@ fn table8_echoes_the_reconstruction() {
 }
 
 #[test]
+fn table7_prints_the_reported_current_densities() {
+    let (ok, stdout, _) = repro(&["--experiment", "table7"]);
+    assert!(ok);
+    let last_field = |prefix: &str| {
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no `{prefix}` row in:\n{stdout}"));
+        line.split_whitespace().last().unwrap().to_owned()
+    };
+    assert_eq!(last_field("M1–M4 heated"), "6.6");
+    assert_eq!(last_field("Isolated M4 heated"), "11.1");
+    assert!(stdout.contains("measured reduction here: 41 %"), "{stdout}");
+}
+
+#[test]
 fn unknown_experiment_fails() {
     let (ok, _, stderr) = repro(&["--experiment", "fig99"]);
     assert!(!ok);

@@ -17,16 +17,16 @@
 //! The discretization is a standard cell-centered finite-volume scheme on
 //! a non-uniform tensor-product mesh with harmonic-mean face conductances,
 //! Dirichlet bottom boundary (substrate at the reference temperature) and
-//! adiabatic sides/top. The linear system is solved exactly by banded
-//! Cholesky by default (see [`SolveMethod`]); SOR is available as an
-//! alternative. Everything works in *temperature rise* ΔT above the
-//! reference, per unit length of wire (W/m sources).
+//! adiabatic sides/top. The SPD conduction matrix is solved directly by
+//! the workspace's sparse LDLᵀ ([`SparseMatrix::factor_cholesky`]).
+//! Everything works in *temperature rise* ΔT above the reference, per unit
+//! length of wire (W/m sources).
 
+use hotwire_circuit::sparse::SparseMatrix;
 use hotwire_tech::Dielectric;
 use hotwire_units::Length;
 use serde::{Deserialize, Serialize};
 
-use crate::band::BandedSpd;
 use crate::ThermalError;
 
 /// An axis-aligned rectangle in cross-section coordinates (meters);
@@ -246,59 +246,6 @@ impl MeshControl {
     }
 }
 
-/// Linear-solver selection.
-///
-/// The conduction matrix is symmetric positive definite with bandwidth
-/// `min(nx, ny)`; the direct banded Cholesky factorization is exact and
-/// fast at cross-section sizes (≤ ~10⁵ cells) and is the default. SOR is
-/// retained for the ablation benchmark and for very large meshes where the
-/// band no longer fits comfortably.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SolveMethod {
-    /// Direct banded Cholesky factorization (exact, default).
-    Direct,
-    /// Successive over-relaxation.
-    Sor {
-        /// Over-relaxation factor ω ∈ (0, 2); ≈ 1.9 is near-optimal for
-        /// these meshes.
-        omega: f64,
-        /// Relative residual target (energy-balance residual over total
-        /// injected power).
-        tolerance: f64,
-        /// Sweep budget before giving up.
-        max_sweeps: usize,
-    },
-}
-
-/// Options for [`solve`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SolveOptions {
-    /// The linear solver to use.
-    pub method: SolveMethod,
-}
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        Self {
-            method: SolveMethod::Direct,
-        }
-    }
-}
-
-impl SolveOptions {
-    /// SOR with sensible defaults (ω = 1.9, 10⁻⁸ residual, 40 000 sweeps).
-    #[must_use]
-    pub fn sor() -> Self {
-        Self {
-            method: SolveMethod::Sor {
-                omega: 1.9,
-                tolerance: 1e-8,
-                max_sweeps: 40_000,
-            },
-        }
-    }
-}
-
 /// Non-uniform tensor-product mesh (cell edge coordinates).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Mesh {
@@ -375,7 +322,6 @@ pub struct Field {
     mesh: Mesh,
     /// Cell-centered rises, row-major (j·nx + i).
     t: Vec<f64>,
-    sweeps: usize,
     residual: f64,
 }
 
@@ -384,12 +330,6 @@ impl Field {
     #[must_use]
     pub fn mesh(&self) -> &Mesh {
         &self.mesh
-    }
-
-    /// Number of SOR sweeps performed.
-    #[must_use]
-    pub fn sweeps(&self) -> usize {
-        self.sweeps
     }
 
     /// Final relative energy-balance residual.
@@ -459,22 +399,28 @@ impl Field {
     }
 }
 
-/// Solves the conduction problem.
-///
-/// # Errors
-///
-/// Returns [`ThermalError::NoConvergence`] when the SOR iteration fails to
-/// reach the residual target within the sweep budget, or
-/// [`ThermalError::InvalidInput`] for a degenerate mesh/ω.
-pub fn solve(
-    structure: &Structure,
-    control: MeshControl,
-    options: SolveOptions,
-) -> Result<Field, ThermalError> {
-    if let SolveMethod::Sor { omega, .. } = options.method {
-        if !(omega > 0.0 && omega < 2.0) {
+/// The assembled finite-volume system, per unit wire length.
+struct Assembly {
+    mesh: Mesh,
+    /// Heat injected into each cell (W/m), row-major (j·nx + i).
+    q: Vec<f64>,
+    total_power: f64,
+    /// `gx[j·(nx+1) + i]`: conductance between cells (i-1, j) and (i, j);
+    /// the side faces stay 0 (adiabatic).
+    gx: Vec<f64>,
+    /// `gy[j·nx + i]` for j in 0..=ny: conductance between cells (i, j-1)
+    /// and (i, j); j = 0 is the Dirichlet substrate face, j = ny the top
+    /// (0 when adiabatic).
+    gy: Vec<f64>,
+}
+
+/// Meshes `structure` under `control` and assembles its finite-volume
+/// system; see [`solve`] for the inputs it refuses.
+fn assemble(structure: &Structure, control: MeshControl) -> Result<Assembly, ThermalError> {
+    for (name, d) in [("max_dx", control.max_dx), ("max_dy", control.max_dy)] {
+        if !(d > 0.0) || !d.is_finite() {
             return Err(ThermalError::InvalidInput {
-                message: format!("SOR omega must be in (0, 2), got {omega}"),
+                message: format!("mesh control {name} must be finite and positive, got {d}"),
             });
         }
     }
@@ -489,7 +435,7 @@ pub fn solve(
 
     // Sample materials at cell centers.
     let mut k = vec![0.0; nx * ny];
-    let mut q = vec![0.0; nx * ny]; // W per meter of wire (integrated over cell)
+    let mut q = vec![0.0; nx * ny];
     let mut total_power = 0.0;
     for j in 0..ny {
         for i in 0..nx {
@@ -501,18 +447,8 @@ pub fn solve(
             total_power += cell_q;
         }
     }
-    if total_power <= 0.0 {
-        // No heat: the field is identically the reference temperature.
-        return Ok(Field {
-            mesh,
-            t: vec![0.0; nx * ny],
-            sweeps: 0,
-            residual: 0.0,
-        });
-    }
 
-    // Precompute face conductances (per unit wire length).
-    // gx[j*(nx+1)+i]: between cell (i-1,j) and (i,j); boundaries 0 (adiabatic sides).
+    // Harmonic-mean face conductances.
     let mut gx = vec![0.0; (nx + 1) * ny];
     for j in 0..ny {
         for i in 1..nx {
@@ -523,8 +459,6 @@ pub fn solve(
             gx[j * (nx + 1) + i] = mesh.dy(j) / (d1 / (2.0 * k1) + d2 / (2.0 * k2));
         }
     }
-    // gy[j*nx+i] for j in 0..=ny: between cell (i,j-1) and (i,j);
-    // j = 0 is the Dirichlet substrate face, j = ny the adiabatic top.
     let mut gy = vec![0.0; nx * (ny + 1)];
     let structure_top_isothermal = structure.top_boundary() == TopBoundary::Isothermal;
     for i in 0..nx {
@@ -541,179 +475,76 @@ pub fn solve(
             // half-cell conduction into the isothermal lid
             gy[ny * nx + i] = mesh.dx(i) * (2.0 * k[(ny - 1) * nx + i]) / mesh.dy(ny - 1);
         }
-        // otherwise the top face stays 0 (adiabatic)
     }
-
-    match options.method {
-        SolveMethod::Direct => {
-            let t = cholesky_banded_solve(&mesh, &gx, &gy, &q)?;
-            let residual = energy_residual(&mesh, &gx, &gy, &q, &t) / total_power;
-            Ok(Field {
-                mesh,
-                t,
-                sweeps: 1,
-                residual,
-            })
-        }
-        SolveMethod::Sor {
-            omega,
-            tolerance,
-            max_sweeps,
-        } => {
-            let mut t = vec![0.0; nx * ny];
-            let mut sweeps = 0;
-            let mut residual = f64::INFINITY;
-            while sweeps < max_sweeps {
-                for _ in 0..20 {
-                    sor_sweep(&mesh, &gx, &gy, &q, &mut t, omega);
-                    sweeps += 1;
-                }
-                residual = energy_residual(&mesh, &gx, &gy, &q, &t) / total_power;
-                if residual < tolerance {
-                    return Ok(Field {
-                        mesh,
-                        t,
-                        sweeps,
-                        residual,
-                    });
-                }
-            }
-            Err(ThermalError::NoConvergence {
-                iterations: sweeps,
-                residual,
-            })
-        }
-    }
+    Ok(Assembly {
+        mesh,
+        q,
+        total_power,
+        gx,
+        gy,
+    })
 }
 
-/// Direct solve of the finite-volume system by banded Cholesky.
-///
-/// Unknowns are ordered with the shorter grid axis varying fastest so the
-/// half-bandwidth is `min(nx, ny)`.
-fn cholesky_banded_solve(
-    mesh: &Mesh,
-    gx: &[f64],
-    gy: &[f64],
-    q: &[f64],
-) -> Result<Vec<f64>, ThermalError> {
+/// The SPD conduction matrix over cells `j·nx + i`. Each interior face
+/// stamps the same value into both triangles, so the matrix is exactly
+/// symmetric; the substrate and lid faces touch the sink at rise 0 and
+/// add to the diagonal only.
+fn conduction_matrix(mesh: &Mesh, gx: &[f64], gy: &[f64]) -> SparseMatrix {
     let nx = mesh.nx();
     let ny = mesh.ny();
-    let n = nx * ny;
-    // Map cell (i, j) to an unknown index with the smaller axis fastest.
-    let x_fast = nx <= ny;
-    let bw = if x_fast { nx } else { ny };
-    let idx = |i: usize, j: usize| -> usize {
-        if x_fast {
-            j * nx + i
-        } else {
-            i * ny + j
-        }
-    };
-    let mut ab = BandedSpd::new(n, bw)?;
-    let mut rhs = vec![0.0_f64; n];
-    let set = |r: usize, c: usize, v: f64, ab: &mut BandedSpd| {
-        ab.add(r, c, v);
-    };
-    for j in 0..ny {
-        for i in 0..nx {
-            let r = idx(i, j);
-            let c_cell = j * nx + i;
-            rhs[r] = q[c_cell];
-            let gw = gx[j * (nx + 1) + i];
-            let ge = gx[j * (nx + 1) + i + 1];
-            let gs = gy[j * nx + i];
-            let gn = gy[(j + 1) * nx + i];
-            let mut diag = 0.0;
-            if gw > 0.0 {
-                diag += gw;
-                let cn = idx(i - 1, j);
-                if cn < r {
-                    set(r, cn, -gw, &mut ab);
-                }
-            }
-            if ge > 0.0 {
-                diag += ge;
-                let cn = idx(i + 1, j);
-                if cn < r {
-                    set(r, cn, -ge, &mut ab);
-                }
-            }
-            if gs > 0.0 {
-                diag += gs; // j = 0 couples to the Dirichlet sink: diagonal only
-                if j > 0 {
-                    let cn = idx(i, j - 1);
-                    if cn < r {
-                        set(r, cn, -gs, &mut ab);
-                    }
-                }
-            }
-            if gn > 0.0 {
-                diag += gn; // j = ny-1 with an isothermal lid: diagonal only
-                if j + 1 < ny {
-                    let cn = idx(i, j + 1);
-                    if cn < r {
-                        set(r, cn, -gn, &mut ab);
-                    }
-                }
-            }
-            set(r, r, diag, &mut ab);
-        }
-    }
-    let sol = ab.factor()?.solve(&rhs);
-    // Reorder back to cell-major (j*nx + i) if we solved transposed.
-    if x_fast {
-        Ok(sol)
-    } else {
-        let mut out = vec![0.0; n];
-        for j in 0..ny {
-            for i in 0..nx {
-                out[j * nx + i] = sol[i * ny + j];
-            }
-        }
-        Ok(out)
-    }
-}
-
-fn sor_sweep(mesh: &Mesh, gx: &[f64], gy: &[f64], q: &[f64], t: &mut [f64], omega: f64) {
-    let nx = mesh.nx();
-    let ny = mesh.ny();
+    let mut a = SparseMatrix::zeros(nx * ny);
     for j in 0..ny {
         for i in 0..nx {
             let c = j * nx + i;
-            let gw = gx[j * (nx + 1) + i];
             let ge = gx[j * (nx + 1) + i + 1];
-            let gs = gy[j * nx + i];
             let gn = gy[(j + 1) * nx + i];
-            let mut num = q[c];
-            let mut den = 0.0;
-            if gw > 0.0 {
-                num += gw * t[c - 1];
-                den += gw;
+            if i + 1 < nx {
+                a.add(c, c + 1, -ge);
+                a.add(c + 1, c, -ge);
             }
-            if ge > 0.0 {
-                num += ge * t[c + 1];
-                den += ge;
+            if j + 1 < ny {
+                a.add(c, c + nx, -gn);
+                a.add(c + nx, c, -gn);
             }
-            if gs > 0.0 {
-                // j = 0: neighbour is the substrate at rise 0 (adds only to den)
-                if j > 0 {
-                    num += gs * t[c - nx];
-                }
-                den += gs;
-            }
-            if gn > 0.0 {
-                // j = ny-1 with an isothermal lid couples to the sink at 0
-                if j + 1 < ny {
-                    num += gn * t[c + nx];
-                }
-                den += gn;
-            }
-            if den > 0.0 {
-                let t_new = num / den;
-                t[c] += omega * (t_new - t[c]);
-            }
+            a.add(c, c, gx[j * (nx + 1) + i] + ge + gy[j * nx + i] + gn);
         }
     }
+    a
+}
+
+/// Solves the conduction problem.
+///
+/// # Errors
+///
+/// Returns [`ThermalError::InvalidInput`] for a degenerate mesh: a
+/// `control` extent that is not finite and positive, fewer than 2×2
+/// cells, or a conduction matrix that fails to factor (the message names
+/// the pivot row).
+pub fn solve(structure: &Structure, control: MeshControl) -> Result<Field, ThermalError> {
+    let Assembly {
+        mesh,
+        q,
+        total_power,
+        gx,
+        gy,
+    } = assemble(structure, control)?;
+    if total_power <= 0.0 {
+        // No heat: the field is identically the reference temperature.
+        let n = q.len();
+        return Ok(Field {
+            mesh,
+            t: vec![0.0; n],
+            residual: 0.0,
+        });
+    }
+    let t = conduction_matrix(&mesh, &gx, &gy)
+        .factor_cholesky()
+        .map_err(|e| ThermalError::InvalidInput {
+            message: format!("cross-section conduction matrix: {e}"),
+        })?
+        .solve(&q);
+    let residual = energy_residual(&mesh, &gx, &gy, &q, &t) / total_power;
+    Ok(Field { mesh, t, residual })
 }
 
 fn energy_residual(mesh: &Mesh, gx: &[f64], gy: &[f64], q: &[f64], t: &[f64]) -> f64 {
@@ -888,10 +719,9 @@ impl SingleWireStructure {
         &self,
         padding: Length,
         control: MeshControl,
-        options: SolveOptions,
     ) -> Result<WireSolution, ThermalError> {
         let (s, wire) = self.build(padding)?;
-        let field = solve(&s, control, options)?;
+        let field = solve(&s, control)?;
         let rise = field.average_rise_in(wire);
         Ok(WireSolution {
             structure: self.clone(),
@@ -1110,10 +940,9 @@ impl ArrayStructure {
         dense: bool,
         target_level: usize,
         control: MeshControl,
-        options: SolveOptions,
     ) -> Result<f64, ThermalError> {
         let (s, target) = self.build(heated_levels, !dense, target_level)?;
-        let field = solve(&s, control, options)?;
+        let field = solve(&s, control)?;
         Ok(field.average_rise_in(target))
     }
 }
@@ -1148,7 +977,6 @@ mod tests {
                 max_dx: 0.2e-6,
                 max_dy: 0.02e-6,
             },
-            SolveOptions::default(),
         )
         .unwrap();
         // Exact: heat generated uniformly in [0.9, 1.0] µm flows down through
@@ -1169,11 +997,10 @@ mod tests {
                 max_dx: 0.2e-6,
                 max_dy: 0.2e-6,
             },
-            SolveOptions::default(),
         )
         .unwrap();
         assert_eq!(field.max_rise(), 0.0);
-        assert_eq!(field.sweeps(), 0);
+        assert_eq!(field.residual(), 0.0);
     }
 
     #[test]
@@ -1195,24 +1022,32 @@ mod tests {
                 source: 0.0,
             })
             .is_err());
-        let opts = SolveOptions {
-            method: SolveMethod::Sor {
-                omega: 2.5,
-                tolerance: 1e-8,
-                max_sweeps: 100,
-            },
-        };
-        assert!(matches!(
-            solve(
-                &s,
+        // A degenerate mesh control is refused before any meshing: a zero
+        // extent would ask for usize::MAX cells, a NaN or negative one for a
+        // single cell per span.
+        let (heated, _) = SingleWireStructure::all_oxide(um(0.35), um(0.55), um(1.2))
+            .build(um(1.0))
+            .unwrap();
+        for bad in [0.0, -1e-7, f64::NAN, f64::INFINITY] {
+            for control in [
                 MeshControl {
-                    max_dx: 0.5e-6,
-                    max_dy: 0.5e-6
+                    max_dx: bad,
+                    max_dy: 0.1e-6,
                 },
-                opts
-            ),
-            Err(ThermalError::InvalidInput { .. })
-        ));
+                MeshControl {
+                    max_dx: 0.1e-6,
+                    max_dy: bad,
+                },
+            ] {
+                assert!(
+                    matches!(
+                        solve(&heated, control),
+                        Err(ThermalError::InvalidInput { .. })
+                    ),
+                    "{control:?} must be rejected"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1221,11 +1056,7 @@ mod tests {
         // φ should be a small O(1) number and θ close to t_ox/(k·W·L).
         let sw = SingleWireStructure::all_oxide(um(10.0), um(0.55), um(1.2));
         let sol = sw
-            .solve(
-                um(8.0),
-                MeshControl::resolving(um(0.15), 1),
-                SolveOptions::default(),
-            )
+            .solve(um(8.0), MeshControl::resolving(um(0.15), 1))
             .unwrap();
         let weff = sol.effective_width().to_micrometers();
         assert!(weff > 10.0, "W_eff = {weff} must exceed the drawn width");
@@ -1238,11 +1069,7 @@ mod tests {
         // land in the same neighbourhood (2-D spreading well beyond 0.88).
         let sw = SingleWireStructure::all_oxide(um(0.35), um(0.55), um(1.2));
         let sol = sw
-            .solve(
-                um(6.0),
-                MeshControl::resolving(um(0.06), 1),
-                SolveOptions::default(),
-            )
+            .solve(um(6.0), MeshControl::resolving(um(0.06), 1))
             .unwrap();
         let phi = sol.phi();
         assert!(phi > 1.2, "φ = {phi} should exceed the quasi-1-D 0.88");
@@ -1254,9 +1081,8 @@ mod tests {
         let base = SingleWireStructure::all_oxide(um(0.35), um(0.55), um(1.2));
         let hsq = base.clone().with_gap_fill(Dielectric::hsq());
         let c = MeshControl::resolving(um(0.07), 1);
-        let o = SolveOptions::default();
-        let t_ox = base.solve(um(5.0), c, o).unwrap().rise_per_line_power();
-        let t_hsq = hsq.solve(um(5.0), c, o).unwrap().rise_per_line_power();
+        let t_ox = base.solve(um(5.0), c).unwrap().rise_per_line_power();
+        let t_hsq = hsq.solve(um(5.0), c).unwrap().rise_per_line_power();
         let increase = t_hsq / t_ox - 1.0;
         // Paper Fig. 5: ≈ 20 % higher for the narrowest line.
         assert!(
@@ -1268,11 +1094,10 @@ mod tests {
     #[test]
     fn theta_decreases_with_width() {
         let c = MeshControl::resolving(um(0.1), 1);
-        let o = SolveOptions::default();
         let mut prev = f64::INFINITY;
         for w in [0.35, 1.0, 2.0, 3.5] {
             let sw = SingleWireStructure::all_oxide(um(w), um(0.55), um(1.2));
-            let r = sw.solve(um(6.0), c, o).unwrap().rise_per_line_power();
+            let r = sw.solve(um(6.0), c).unwrap().rise_per_line_power();
             assert!(r < prev, "θ must fall as the line widens");
             prev = r;
         }
@@ -1317,10 +1142,9 @@ mod tests {
     fn dense_array_runs_hotter_than_isolated_line() {
         let array = four_level_array();
         let c = MeshControl::resolving(um(0.12), 1);
-        let o = SolveOptions::default();
         let all = vec![true; 4];
-        let dense = array.solve_rise(&all, true, 3, c, o).unwrap();
-        let isolated = array.solve_rise(&all, false, 3, c, o).unwrap();
+        let dense = array.solve_rise(&all, true, 3, c).unwrap();
+        let isolated = array.solve_rise(&all, false, 3, c).unwrap();
         assert!(
             dense > 1.5 * isolated,
             "dense {dense} vs isolated {isolated}: coupling must heat the target"
@@ -1343,13 +1167,12 @@ mod tests {
     fn heated_neighbors_raise_and_cold_neighbors_lower_the_rise() {
         let base = SingleWireStructure::all_oxide(um(0.5), um(0.55), um(1.2));
         let c = MeshControl::resolving(um(0.08), 1);
-        let o = SolveOptions::default();
-        let isolated = base.solve(um(6.0), c, o).unwrap().rise_per_line_power();
+        let isolated = base.solve(um(6.0), c).unwrap().rise_per_line_power();
         // cold metal neighbours add lateral heat-spreading paths
         let cold = base
             .clone()
             .with_neighbors(2, um(1.2), false)
-            .solve(um(6.0), c, o)
+            .solve(um(6.0), c)
             .unwrap()
             .rise_per_line_power();
         assert!(cold < isolated, "cold {cold} vs isolated {isolated}");
@@ -1357,7 +1180,7 @@ mod tests {
         let hot = base
             .clone()
             .with_neighbors(2, um(1.2), true)
-            .solve(um(6.0), c, o)
+            .solve(um(6.0), c)
             .unwrap()
             .rise_per_line_power();
         assert!(hot > 1.2 * isolated, "hot {hot} vs isolated {isolated}");
@@ -1365,7 +1188,7 @@ mod tests {
         let hot_tight = base
             .clone()
             .with_neighbors(2, um(0.8), true)
-            .solve(um(6.0), c, o)
+            .solve(um(6.0), c)
             .unwrap()
             .rise_per_line_power();
         assert!(hot_tight > hot);
@@ -1377,12 +1200,7 @@ mod tests {
             let sw = SingleWireStructure::all_oxide(um(0.5), um(0.55), um(1.2));
             let (mut structure, wire) = sw.build(um(3.0)).unwrap();
             structure.set_top_boundary(top);
-            let field = solve(
-                &structure,
-                MeshControl::resolving(um(0.1), 1),
-                SolveOptions::default(),
-            )
-            .unwrap();
+            let field = solve(&structure, MeshControl::resolving(um(0.1), 1)).unwrap();
             field.average_rise_in(wire)
         };
         let adiabatic = build(TopBoundary::Adiabatic);
@@ -1391,25 +1209,82 @@ mod tests {
             lidded < 0.75 * adiabatic,
             "a lid must cool the wire substantially: {lidded} vs {adiabatic}"
         );
-        // and both solvers agree on the lidded problem
-        let sw = SingleWireStructure::all_oxide(um(0.5), um(0.55), um(1.2));
-        let (mut structure, wire) = sw.build(um(3.0)).unwrap();
-        structure.set_top_boundary(TopBoundary::Isothermal);
-        let direct = solve(
-            &structure,
-            MeshControl::resolving(um(0.1), 1),
-            SolveOptions::default(),
-        )
-        .unwrap()
-        .average_rise_in(wire);
-        let sor = solve(
-            &structure,
-            MeshControl::resolving(um(0.1), 1),
-            SolveOptions::sor(),
-        )
-        .unwrap()
-        .average_rise_in(wire);
-        assert!((direct - sor).abs() / direct < 1e-4, "{direct} vs {sor}");
+    }
+
+    /// The Table 7 dense array: the 0.25 µm preset's lower four levels.
+    fn table7_array() -> ArrayStructure {
+        ArrayStructure {
+            levels: hotwire_tech::presets::ntrs_250nm().layers()[..4]
+                .iter()
+                .map(|l| ArrayLevel {
+                    width: l.width(),
+                    pitch: l.pitch(),
+                    thickness: l.thickness(),
+                    ild_below: l.ild_below(),
+                })
+                .collect(),
+            dielectric: Dielectric::oxide(),
+            cap_thickness: um(1.0),
+            metal_conductivity: 395.0,
+            periods: 5,
+        }
+    }
+
+    /// Direct vs iterative: Jacobi-preconditioned CG on the same assembled
+    /// system lands on the LDLᵀ field.
+    #[test]
+    fn ldlt_and_jacobi_pcg_agree() {
+        use hotwire_circuit::pcg::{pcg, PcgWork};
+
+        let (wire, _) = SingleWireStructure::all_oxide(um(1.0), um(0.55), um(1.2))
+            .build(um(4.0))
+            .unwrap();
+        let (dense, _) = table7_array().build(&[true; 4], false, 3).unwrap();
+        let (mut lidded, _) = SingleWireStructure::all_oxide(um(0.5), um(0.55), um(1.2))
+            .build(um(3.0))
+            .unwrap();
+        lidded.set_top_boundary(TopBoundary::Isothermal);
+        for (structure, cell) in [(wire, 0.15), (dense, 0.1), (lidded, 0.1)] {
+            let control = MeshControl::resolving(um(cell), 1);
+            let direct = solve(&structure, control).unwrap();
+            let Assembly {
+                mesh, q, gx, gy, ..
+            } = assemble(&structure, control).unwrap();
+            let a = conduction_matrix(&mesh, &gx, &gy);
+            let nx = mesh.nx();
+            let diag: Vec<f64> = (0..q.len())
+                .map(|c| {
+                    let (i, j) = (c % nx, c / nx);
+                    gx[j * (nx + 1) + i] + gx[j * (nx + 1) + i + 1] + gy[c] + gy[c + nx]
+                })
+                .collect();
+            let mut t = vec![0.0; q.len()];
+            pcg(
+                |v, out| out.copy_from_slice(&a.mul_vec(v)),
+                |r, z| {
+                    for ((zi, ri), di) in z.iter_mut().zip(r).zip(&diag) {
+                        *zi = ri / di;
+                    }
+                },
+                &q,
+                &mut t,
+                q.len(),
+                &mut PcgWork::default(),
+            )
+            .unwrap();
+            let scale = direct.max_rise();
+            let diff = t
+                .iter()
+                .zip(&direct.t)
+                .map(|(x, y)| (x - y).abs())
+                .fold(0.0, f64::max);
+            assert!(
+                diff <= 1e-9 * scale,
+                "{}×{} mesh: PCG differs from LDLᵀ by {diff:e} (max rise {scale:e})",
+                mesh.nx(),
+                mesh.ny()
+            );
+        }
     }
 
     #[test]
@@ -1428,7 +1303,6 @@ mod tests {
                 max_dx: 0.25e-6,
                 max_dy: 0.05e-6,
             },
-            SolveOptions::default(),
         )
         .unwrap();
         assert_eq!(field.mesh().x_edges().len(), field.mesh().nx() + 1);

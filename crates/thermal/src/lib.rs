@@ -15,9 +15,11 @@
 //!   Table 7, for densely packed 3-D arrays).
 //! * [`transient`] — lumped transient Joule heating with melt detection,
 //!   the engine behind the ESD (short-pulse failure) analysis of §6.
-//! * [`chip`] — a chip-scale strap-intersection thermal map (factored
-//!   once, solved per coupled-loop iteration), built on the banded SPD
-//!   Cholesky in [`band`] that also powers [`grid2d`]'s direct method.
+//! * [`chip`] — a chip-scale strap-intersection thermal map, solved per
+//!   coupled-loop iteration by Jacobi-preconditioned CG.
+//!
+//! The crate's linear algebra is `hotwire-circuit`'s: [`grid2d`] solves
+//! by its sparse LDLᵀ, [`chip`] by its PCG kernel.
 //!
 //! # Examples
 //!
@@ -40,7 +42,6 @@
 // `x <= 0.0` it also rejects NaN, which must never enter a solver.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-pub mod band;
 pub mod chip;
 mod error;
 pub mod fin;

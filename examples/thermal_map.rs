@@ -6,7 +6,7 @@
 
 use hotwire::tech::Dielectric;
 use hotwire::thermal::grid2d::{
-    solve, ArrayLevel, ArrayStructure, Field, MeshControl, SingleWireStructure, SolveOptions,
+    solve, ArrayLevel, ArrayStructure, Field, MeshControl, SingleWireStructure,
 };
 use hotwire::units::Length;
 
@@ -46,11 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("single 0.35 µm wire over 1.2 µm oxide — ΔT field (substrate at bottom):\n");
     let sw = SingleWireStructure::all_oxide(um(0.35), um(0.55), um(1.2));
     let (structure, _) = sw.build(um(4.0))?;
-    let field = solve(
-        &structure,
-        MeshControl::resolving(um(0.07), 1),
-        SolveOptions::default(),
-    )?;
+    let field = solve(&structure, MeshControl::resolving(um(0.07), 1))?;
     print!(
         "{}",
         heat_map(&field, structure.width(), structure.height(), 72, 16)
@@ -95,11 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         periods: 3,
     };
     let (structure, target) = array.build(&[true; 4], false, 3)?;
-    let field = solve(
-        &structure,
-        MeshControl::resolving(um(0.1), 1),
-        SolveOptions::default(),
-    )?;
+    let field = solve(&structure, MeshControl::resolving(um(0.1), 1))?;
     print!(
         "{}",
         heat_map(&field, structure.width(), structure.height(), 72, 20)

@@ -180,17 +180,13 @@ proptest! {
 /// heated region.
 #[test]
 fn grid_maximum_principle() {
-    use hotwire::thermal::grid2d::{MeshControl, SingleWireStructure, SolveOptions};
+    use hotwire::thermal::grid2d::{MeshControl, SingleWireStructure};
     use hotwire::units::Length;
     let um = Length::from_micrometers;
     let sw = SingleWireStructure::all_oxide(um(1.0), um(0.55), um(1.2));
     let (structure, wire) = sw.build(um(4.0)).unwrap();
-    let field = hotwire::thermal::grid2d::solve(
-        &structure,
-        MeshControl::resolving(um(0.1), 1),
-        SolveOptions::default(),
-    )
-    .unwrap();
+    let field =
+        hotwire::thermal::grid2d::solve(&structure, MeshControl::resolving(um(0.1), 1)).unwrap();
     let wire_avg = field.average_rise_in(wire);
     assert!(wire_avg > 0.0);
     // the global max must not exceed the wire region's max by more than
