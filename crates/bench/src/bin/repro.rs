@@ -76,12 +76,24 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Some(n) = jobs {
-        // Bounds both the experiment fan-out here and the sweep-level
-        // rayon parallelism inside each experiment (children inherit it).
-        std::env::set_var("RAYON_NUM_THREADS", n.to_string());
+    // `--jobs` bounds both the experiment fan-out here and the
+    // sweep-level rayon parallelism inside each experiment (children get
+    // the same `--jobs`); without it the pool takes rayon's default.
+    match rayon::ThreadPoolBuilder::new()
+        .num_threads(jobs.unwrap_or(0))
+        .build()
+    {
+        Ok(pool) => pool.install(|| run(selected, csv_dir.as_deref(), jobs)),
+        Err(e) => {
+            eprintln!("cannot build the thread pool: {e}");
+            ExitCode::FAILURE
+        }
     }
-    if let Some(dir) = &csv_dir {
+}
+
+/// Writes the CSV series if asked, then runs the selected experiments.
+fn run(mut selected: Vec<String>, csv_dir: Option<&str>, jobs: Option<usize>) -> ExitCode {
+    if let Some(dir) = csv_dir {
         match hotwire_bench::csv_export::write_all(std::path::Path::new(dir)) {
             Ok(files) => println!("wrote {} to {dir}\n", files.join(", ")),
             Err(e) => {
@@ -97,7 +109,7 @@ fn main() -> ExitCode {
         selected = experiments::ALL.iter().map(|s| (*s).to_owned()).collect();
     }
     if selected.len() > 1 && rayon::current_num_threads() > 1 {
-        return run_parallel(&selected);
+        return run_parallel(&selected, jobs);
     }
     for (k, id) in selected.iter().enumerate() {
         if k > 0 {
@@ -114,7 +126,7 @@ fn main() -> ExitCode {
 /// Runs each experiment as `repro --experiment <id>` child process and
 /// relays the captured output in selection order, so the bytes on stdout
 /// match a serial in-process run.
-fn run_parallel(selected: &[String]) -> ExitCode {
+fn run_parallel(selected: &[String], jobs: Option<usize>) -> ExitCode {
     let exe = match std::env::current_exe() {
         Ok(p) => p,
         Err(e) => {
@@ -125,9 +137,12 @@ fn run_parallel(selected: &[String]) -> ExitCode {
     let outputs: Vec<std::io::Result<std::process::Output>> = selected
         .par_iter()
         .map(|id| {
-            std::process::Command::new(&exe)
-                .args(["--experiment", id])
-                .output()
+            let mut child = std::process::Command::new(&exe);
+            child.args(["--experiment", id]);
+            if let Some(n) = jobs {
+                child.args(["--jobs", &n.to_string()]);
+            }
+            child.output()
         })
         .collect();
     let mut code = ExitCode::SUCCESS;

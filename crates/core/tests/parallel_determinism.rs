@@ -1,7 +1,8 @@
 //! The parallel sweep engine must be *bit-identical* to the serial
 //! reference: same points, same order, same bits — CSV renderings byte
-//! for byte. A single test fn sequences every thread-count change, so
-//! there is no env-var race inside this binary.
+//! for byte. Thread counts are set with `ThreadPool::install`, which is
+//! local to the calling thread (and the threads it spawns), so no other
+//! test's thread count changes.
 
 use hotwire_core::rules::{DesignRuleSpec, DesignRuleTable};
 use hotwire_core::sweep::{
@@ -42,12 +43,21 @@ fn sweep_csv(points: &[SweepPoint]) -> String {
     out
 }
 
+fn pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn parallel_sweeps_are_bit_identical_to_serial() {
     // Force real multi-threading even on a single-core runner, so the
     // chunk-stitch ordering path is actually exercised.
-    std::env::set_var("RAYON_NUM_THREADS", "4");
+    pool(4).install(sweeps_at_four_threads);
+}
 
+fn sweeps_at_four_threads() {
     let problem = fig2_problem();
     let rs = log_spaced(1e-4, 1.0, 21);
 
@@ -83,9 +93,7 @@ fn parallel_sweeps_are_bit_identical_to_serial() {
     let tech = presets::ntrs_250nm();
     let spec = DesignRuleSpec::paper_defaults(&tech, 2, CurrentDensity::from_amps_per_cm2(6.0e5));
     let t4 = DesignRuleTable::generate(&spec).unwrap();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let t1 = DesignRuleTable::generate(&spec).unwrap();
-    std::env::set_var("RAYON_NUM_THREADS", "4");
+    let t1 = pool(1).install(|| DesignRuleTable::generate(&spec).unwrap());
     assert_eq!(
         t4.to_csv().into_bytes(),
         t1.to_csv().into_bytes(),

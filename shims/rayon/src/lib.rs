@@ -3,7 +3,8 @@
 //! Covers the data-parallel slice this workspace uses: `par_iter()` /
 //! `into_par_iter()` on slices, `Vec`s, and `Range<usize>`, followed by
 //! `map(...)` and an order-preserving `collect()` (into `Vec<T>` or
-//! `Result<Vec<T>, E>`), plus `join` and `current_num_threads`.
+//! `Result<Vec<T>, E>`), plus `join`, `current_num_threads` and
+//! `ThreadPoolBuilder::new().num_threads(n).build()?.install(f)`.
 //!
 //! Semantics that callers may rely on:
 //!
@@ -15,16 +16,30 @@
 //!   rayon), it just returns the first error in input order.
 //! * **Panic propagation** — a panicking closure panics the caller.
 //!
-//! Thread count comes from `RAYON_NUM_THREADS` or
+//! Thread count comes from the innermost enclosing [`ThreadPool::install`]
+//! on this thread, else `RAYON_NUM_THREADS`, else
 //! `available_parallelism()`; with one thread everything runs inline on
 //! the calling thread with identical results.
+//!
+//! A [`ThreadPool`] owns no threads: `install` runs its closure on the
+//! calling thread with the pool's thread count in force (real rayon runs
+//! it on a pool worker). The count is thread-local, is carried into the
+//! threads `join` and `collect` spawn, and is restored when `install`
+//! returns or unwinds.
 //!
 //! Swap the workspace dependency back to crates.io `rayon` when network
 //! access is available.
 
-/// The number of worker threads parallel operations will use.
-#[must_use]
-pub fn current_num_threads() -> usize {
+use std::cell::Cell;
+
+thread_local! {
+    /// The thread count of the innermost `install` running on this
+    /// thread (or inherited from the thread that spawned it).
+    static INSTALLED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// The thread count when no `install` is in force.
+fn default_num_threads() -> usize {
     std::env::var("RAYON_NUM_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -32,6 +47,96 @@ pub fn current_num_threads() -> usize {
         .unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         })
+}
+
+/// The number of worker threads parallel operations will use.
+#[must_use]
+pub fn current_num_threads() -> usize {
+    INSTALLED
+        .with(Cell::get)
+        .unwrap_or_else(default_num_threads)
+}
+
+/// Runs `op` with `installed` as this thread's count, restoring the
+/// previous count when `op` returns or unwinds.
+fn with_installed<R>(installed: Option<usize>, op: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            INSTALLED.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(INSTALLED.with(|c| c.replace(installed)));
+    op()
+}
+
+/// Configures a [`ThreadPool`] (mirror of `rayon::ThreadPoolBuilder`).
+#[derive(Debug, Default)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+impl ThreadPoolBuilder {
+    /// A builder with the default thread count.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sets the thread count; `0` means the default
+    /// (`RAYON_NUM_THREADS`, else the machine's parallelism).
+    #[must_use]
+    pub fn num_threads(mut self, num_threads: usize) -> Self {
+        self.num_threads = num_threads;
+        self
+    }
+
+    /// Builds the pool. Never fails here; the `Result` mirrors rayon,
+    /// whose pools start OS threads.
+    ///
+    /// # Errors
+    ///
+    /// None in this shim.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        let num_threads = if self.num_threads == 0 {
+            default_num_threads()
+        } else {
+            self.num_threads
+        };
+        Ok(ThreadPool { num_threads })
+    }
+}
+
+/// Why a [`ThreadPoolBuilder::build`] failed (never, in this shim).
+#[derive(Debug)]
+pub struct ThreadPoolBuildError(());
+
+impl std::fmt::Display for ThreadPoolBuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("the thread pool could not be built")
+    }
+}
+
+impl std::error::Error for ThreadPoolBuildError {}
+
+/// A thread count that parallel operations inside [`ThreadPool::install`]
+/// use.
+#[derive(Debug)]
+pub struct ThreadPool {
+    num_threads: usize,
+}
+
+impl ThreadPool {
+    /// Runs `op` with this pool's thread count in force for every
+    /// `join`, `collect` and [`current_num_threads`] inside it, including
+    /// on the threads they spawn.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        with_installed(Some(self.num_threads), op)
+    }
 }
 
 /// Runs two closures, potentially in parallel, returning both results.
@@ -45,8 +150,9 @@ where
     if current_num_threads() <= 1 {
         return (a(), b());
     }
+    let installed = INSTALLED.with(Cell::get);
     std::thread::scope(|s| {
-        let hb = s.spawn(b);
+        let hb = s.spawn(move || with_installed(installed, b));
         let ra = a();
         (ra, hb.join().expect("rayon-shim: joined closure panicked"))
     })
@@ -66,10 +172,15 @@ fn parallel_map<T: Send, U: Send>(items: Vec<T>, f: impl Fn(T) -> U + Sync) -> V
         chunks.push(std::mem::replace(&mut items, rest));
     }
     let f = &f;
+    let installed = INSTALLED.with(Cell::get);
     std::thread::scope(|s| {
         let handles: Vec<_> = chunks
             .into_iter()
-            .map(|chunk| s.spawn(move || chunk.into_iter().map(f).collect::<Vec<U>>()))
+            .map(|chunk| {
+                s.spawn(move || {
+                    with_installed(installed, || chunk.into_iter().map(f).collect::<Vec<U>>())
+                })
+            })
             .collect();
         let mut out = Vec::with_capacity(len);
         for h in handles {
@@ -204,6 +315,11 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use super::{current_num_threads, join, ThreadPool, ThreadPoolBuilder};
+
+    fn pool(n: usize) -> ThreadPool {
+        ThreadPoolBuilder::new().num_threads(n).build().unwrap()
+    }
 
     #[test]
     fn ordering_is_preserved() {
@@ -217,40 +333,98 @@ mod tests {
     fn ordering_with_forced_threads() {
         // The chunk-stitch path must preserve order even when the work per
         // item is skewed.
-        std::env::set_var("RAYON_NUM_THREADS", "4");
-        let out: Vec<usize> = (0..503)
-            .into_par_iter()
-            .map(|i| {
-                if i % 97 == 0 {
-                    std::thread::sleep(std::time::Duration::from_micros(50));
-                }
-                i * 2
-            })
-            .collect();
-        std::env::remove_var("RAYON_NUM_THREADS");
+        let out: Vec<usize> = pool(4).install(|| {
+            (0..503)
+                .into_par_iter()
+                .map(|i| {
+                    if i % 97 == 0 {
+                        std::thread::sleep(std::time::Duration::from_micros(50));
+                    }
+                    i * 2
+                })
+                .collect()
+        });
         assert_eq!(out, (0..503).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn result_collect_takes_first_error_in_order() {
-        std::env::set_var("RAYON_NUM_THREADS", "4");
-        let out: Result<Vec<u32>, String> = (0..100)
-            .into_par_iter()
-            .map(|i| {
-                if i % 30 == 29 {
-                    Err(format!("e{i}"))
-                } else {
-                    Ok(i as u32)
-                }
-            })
-            .collect();
-        std::env::remove_var("RAYON_NUM_THREADS");
+        let out: Result<Vec<u32>, String> = pool(4).install(|| {
+            (0..100)
+                .into_par_iter()
+                .map(|i| {
+                    if i % 30 == 29 {
+                        Err(format!("e{i}"))
+                    } else {
+                        Ok(i as u32)
+                    }
+                })
+                .collect()
+        });
         assert_eq!(out, Err("e29".to_owned()));
     }
 
     #[test]
     fn join_returns_both() {
-        let (a, b) = super::join(|| 2 + 2, || "ok");
+        let (a, b) = join(|| 2 + 2, || "ok");
         assert_eq!((a, b), (4, "ok"));
+    }
+
+    #[test]
+    fn one_thread_install_runs_everything_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        pool(1).install(|| {
+            assert_eq!(current_num_threads(), 1);
+            let (a, b) = join(
+                || std::thread::current().id(),
+                || std::thread::current().id(),
+            );
+            assert_eq!((a, b), (caller, caller));
+            let ids: Vec<_> = (0..64)
+                .into_par_iter()
+                .map(|_| std::thread::current().id())
+                .collect();
+            assert!(ids.iter().all(|&id| id == caller));
+        });
+    }
+
+    #[test]
+    fn nested_install_restores_the_outer_count() {
+        pool(3).install(|| {
+            assert_eq!(current_num_threads(), 3);
+            pool(1).install(|| assert_eq!(current_num_threads(), 1));
+            assert_eq!(current_num_threads(), 3);
+        });
+    }
+
+    #[test]
+    fn a_panic_inside_install_restores_the_count() {
+        pool(3).install(|| {
+            let unwound = std::panic::catch_unwind(|| {
+                pool(1).install(|| {
+                    assert_eq!(current_num_threads(), 1);
+                    panic!("inside install");
+                })
+            });
+            assert!(unwound.is_err());
+            assert_eq!(current_num_threads(), 3);
+        });
+    }
+
+    #[test]
+    fn spawned_children_see_the_installed_count() {
+        let caller = std::thread::current().id();
+        let (counts, ids): (Vec<usize>, Vec<_>) = pool(4).install(|| {
+            (0..8)
+                .into_par_iter()
+                .map(|_| (current_num_threads(), std::thread::current().id()))
+                .collect::<Vec<_>>()
+                .into_iter()
+                .unzip()
+        });
+        assert_eq!(counts, vec![4; 8]);
+        assert!(ids.iter().any(|&id| id != caller), "4 threads fan out");
+        let (_, b) = pool(4).install(|| join(|| (), current_num_threads));
+        assert_eq!(b, 4);
     }
 }

@@ -52,8 +52,9 @@ use hotwire::thermal::impedance::{InsulatorStack, LineGeometry, QUASI_2D_PHI};
 use hotwire::units::{Celsius, CurrentDensity, Length, Seconds};
 
 /// Graceful-shutdown plumbing for `hotwire serve`: SIGINT/SIGTERM set a
-/// flag the accept loop polls, so the process drains in-flight requests
-/// and exits 0 instead of dying mid-response.
+/// flag, an idle server worker wakes the blocking accept loop for it,
+/// and the process drains in-flight requests and exits 0 instead of
+/// dying mid-response.
 ///
 /// Installed with the raw C `signal(2)` — the workspace has no `libc`
 /// crate (offline build), and the two constants below are part of the
@@ -79,16 +80,17 @@ mod shutdown {
 
     extern "C" fn on_signal(_signum: i32) {
         // Only the async-signal-safe store; everything else reacts to it.
-        // SAFETY(ordering): SeqCst store from a signal handler — the
-        // polling loop must observe it, and handlers run rarely enough
-        // that the fence cost is irrelevant.
+        // SAFETY(ordering): SeqCst store from a signal handler — idle
+        // server workers and the accept loop must observe it, and
+        // handlers run rarely enough that the fence cost is irrelevant.
         flag_cell().store(true, Ordering::SeqCst);
     }
 
     extern "C" fn on_usr1(_signum: i32) {
-        // Again only an atomic store: the serve accept loop polls this
-        // flag and writes the diagnostic bundle outside the handler.
-        // SAFETY(ordering): same as on_signal — SeqCst store, polled
+        // Again only an atomic store: an idle server worker wakes the
+        // accept loop, which writes the diagnostic bundle outside the
+        // handler.
+        // SAFETY(ordering): same as on_signal — SeqCst store, read
         // outside the handler, no surrounding data to order against.
         hotwire::serve::dump_flag().store(true, Ordering::SeqCst);
     }

@@ -13,12 +13,19 @@
 //!   the real engine, so scraping `/metrics` during a load burst shows
 //!   the solver's latency distribution, not synthetic numbers.
 //!
-//! The implementation is std-only: a nonblocking [`TcpListener`] accept
-//! loop that polls a shutdown flag (so SIGTERM/ctrl-c can stop it
-//! between accepts) and hands connections to a small fixed thread pool
-//! over an [`mpsc`] channel. HTTP support is the minimal correct subset:
-//! one request per connection, `Connection: close` semantics, bodies up
-//! to [`MAX_REQUEST_BYTES`].
+//! The implementation is std-only: a blocking [`TcpListener`] accept
+//! loop hands connections to a small fixed pool of workers over an
+//! [`mpsc`] channel. Each worker runs its requests inside a one-thread
+//! rayon pool, so the server runs requests side by side instead of
+//! spreading one small solve over threads. Signal handlers only set
+//! flags, and a blocking `accept` does not return for a signal, so an
+//! idle worker wakes the loop for them: when the shutdown flag or
+//! [`dump_flag`] is set, it connects to the listener, and the loop
+//! re-checks both flags after every accept. HTTP support is the minimal
+//! correct subset: one request per connection, `Connection: close`
+//! semantics, bodies up to [`MAX_REQUEST_BYTES`]. A connection that
+//! closes without sending a byte (the wake connection, a TCP liveness
+//! probe) is closed silently.
 //!
 //! Every response carries a process-unique `X-Hotwire-Request-Id`
 //! header. The same ID tags the request's root `serve.request` span
@@ -27,9 +34,9 @@
 //! can be matched to the server-side diagnostics it produced.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -42,9 +49,9 @@ use hotwire_obs::{metrics, prom, recorder};
 /// requests are answered `413` and the connection dropped.
 pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
-/// How long the accept loop sleeps when no connection is pending
-/// before re-checking the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// How often an idle worker reads the shutdown and dump flags; a set
+/// flag wakes the accept loop within about this long.
+const WATCH_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Per-connection socket read timeout, so a stalled client cannot pin
 /// a worker forever.
@@ -79,9 +86,9 @@ impl ServeConfig {
 }
 
 /// Operator-requested bundle-dump flag: the CLI's SIGUSR1 handler sets
-/// it (an atomic store is async-signal-safe), and the accept loop polls
-/// it between accepts — the dump itself runs on the server thread, not
-/// in the handler.
+/// it (an atomic store is async-signal-safe), an idle worker wakes the
+/// accept loop for it, and the loop clears it after the accept —
+/// the dump itself runs on the server thread, not in the handler.
 static DUMP_REQUEST: AtomicBool = AtomicBool::new(false);
 
 /// The flag a SIGUSR1 handler should set to request a diagnostic
@@ -119,9 +126,10 @@ impl Server {
     }
 
     /// Serves until `shutdown` becomes `true`, then drains the worker
-    /// pool and returns. The flag is polled between accepts (every
-    /// [`ACCEPT_POLL`] at the latest), so a signal handler that only
-    /// sets the flag produces a graceful exit.
+    /// pool and returns. The accept blocks; an idle worker connects to
+    /// the listener once `shutdown` or [`dump_flag`] is set (within
+    /// [`WATCH_INTERVAL`]), so a signal handler that only sets a flag
+    /// still produces a graceful exit or a bundle on an idle server.
     ///
     /// # Errors
     ///
@@ -129,28 +137,61 @@ impl Server {
     /// I/O failures are counted (`serve.errors`) and do not stop the
     /// loop.
     pub fn run(self, config: &ServeConfig, shutdown: &Arc<AtomicBool>) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+        let wake_addr = loopback_for(self.listener.local_addr()?);
+        // One rayon thread per request: the workers already run requests
+        // side by side, and a small solve gains nothing from forking more.
+        let pools = (0..config.threads.max(1))
+            .map(|_| rayon::ThreadPoolBuilder::new().num_threads(1).build())
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(io::Error::other)?;
         let (tx, rx) = mpsc::channel::<TcpStream>();
         let rx = Arc::new(Mutex::new(rx));
         let mut workers = Vec::new();
-        for _ in 0..config.threads.max(1) {
+        for pool in pools {
             let rx = Arc::clone(&rx);
             let config = config.clone();
+            let shutdown = Arc::clone(shutdown);
             workers.push(std::thread::spawn(move || loop {
                 // Holding the lock only for recv keeps hand-off fair.
-                let next = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
+                let next = rx
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .recv_timeout(WATCH_INTERVAL);
                 match next {
-                    Ok(stream) => handle_connection(stream, &config),
-                    Err(_) => break, // sender dropped: shutting down
+                    Ok(stream) => pool.install(|| handle_connection(stream, &config)),
+                    Err(RecvTimeoutError::Timeout) => wake_if_flagged(wake_addr, &shutdown),
+                    Err(RecvTimeoutError::Disconnected) => break, // shutting down
                 }
             }));
         }
-        // SAFETY(ordering): SeqCst load pairing with the signal
+        let result = self.accept_loop(config, shutdown, &tx);
+        drop(tx); // workers drain queued connections, then exit
+        for w in workers {
+            let _ = w.join();
+        }
+        result
+    }
+
+    /// Accepts connections and hands them to the workers until
+    /// `shutdown` is set. Both flags are re-checked after every accept,
+    /// which is how a worker's wake connection takes effect.
+    fn accept_loop(
+        &self,
+        config: &ServeConfig,
+        shutdown: &AtomicBool,
+        tx: &mpsc::Sender<TcpStream>,
+    ) -> io::Result<()> {
+        // SAFETY(ordering): SeqCst loads pairing with the signal
         // handler's SeqCst store; the loop only needs to eventually
         // observe the flag, and stronger-than-needed is fine here.
         while !shutdown.load(Ordering::SeqCst) {
+            let accepted = self.listener.accept();
+            // SAFETY(ordering): the same SeqCst load as the loop head.
+            if shutdown.load(Ordering::SeqCst) {
+                break; // drops the wake connection (or a client arriving now)
+            }
             // SAFETY(ordering): swap is the whole protocol — the handler
-            // stores true, exactly one poll observes and clears it.
+            // stores true, exactly one accept observes and clears it.
             if DUMP_REQUEST.swap(false, Ordering::SeqCst) {
                 match &config.bundle_dir {
                     Some(dir) => match recorder::write_bundle(
@@ -169,30 +210,44 @@ impl Server {
                     ),
                 }
             }
-            match self.listener.accept() {
+            match accepted {
+                // A wake connection goes to a worker too: it sends no
+                // bytes and is closed silently.
                 Ok((stream, _peer)) => {
                     if tx.send(stream).is_err() {
                         break;
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    drop(tx);
-                    for w in workers {
-                        let _ = w.join();
-                    }
-                    return Err(e);
-                }
+                Err(e) => return Err(e),
             }
         }
-        drop(tx); // workers drain queued connections, then exit
-        for w in workers {
-            let _ = w.join();
-        }
         Ok(())
+    }
+}
+
+/// The address a wake connection dials: the listener's own, with an
+/// unspecified IP (`0.0.0.0`, `::`) replaced by loopback.
+fn loopback_for(mut addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(IpAddr::V4(Ipv4Addr::LOCALHOST)),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(IpAddr::V6(Ipv6Addr::LOCALHOST)),
+        _ => {}
+    }
+    addr
+}
+
+/// Run by an idle worker every [`WATCH_INTERVAL`]: if the shutdown or
+/// dump flag is set, connects to `wake_addr` so the blocking accept
+/// returns and the loop sees the flag. A wake that races a real client
+/// is harmless: the loop checks the flags after any accept, and a spare
+/// wake connection is closed silently by a worker. When every worker is
+/// busy, the next accept or the first worker to finish sees the flag.
+fn wake_if_flagged(wake_addr: SocketAddr, shutdown: &AtomicBool) {
+    // SAFETY(ordering): SeqCst loads paired with the signal handlers'
+    // SeqCst stores; only eventual visibility matters.
+    if shutdown.load(Ordering::SeqCst) || DUMP_REQUEST.load(Ordering::SeqCst) {
+        let _ = TcpStream::connect_timeout(&wake_addr, WATCH_INTERVAL);
     }
 }
 
@@ -439,12 +494,14 @@ fn signoff_response(body: &[u8], config: &ServeConfig, request_id: &str) -> Resp
 
 /// Reads one request off the stream, routes it, writes the response,
 /// closes. Any protocol or I/O failure just counts an error — a broken
-/// client must not take the server down.
+/// client must not take the server down. A connection closed before
+/// its first byte is not a request: it is closed without a response.
 fn handle_connection(stream: TcpStream, config: &ServeConfig) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let mut stream = stream;
     let response = match read_request(&mut stream) {
-        Ok(request) => route(&request, config),
+        Ok(Some(request)) => route(&request, config),
+        Ok(None) => return,
         Err(status) => {
             metrics::counter("serve.errors").inc();
             let request_id = next_request_id();
@@ -479,9 +536,10 @@ fn handle_connection(stream: TcpStream, config: &ServeConfig) {
         .and_then(|()| stream.flush());
 }
 
-/// Reads start line + headers + `Content-Length` body. Returns the
-/// HTTP status to answer with on failure.
-fn read_request(stream: &mut TcpStream) -> Result<Request, u16> {
+/// Reads start line + headers + `Content-Length` body. Returns `None`
+/// when the peer closed without sending a byte, and the HTTP status to
+/// answer with on failure.
+fn read_request(stream: &mut impl Read) -> Result<Option<Request>, u16> {
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0_u8; 1024];
     let header_end = loop {
@@ -493,7 +551,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, u16> {
         }
         let n = stream.read(&mut chunk).map_err(|_| 400_u16)?;
         if n == 0 {
-            return Err(400);
+            return if buf.is_empty() { Ok(None) } else { Err(400) };
         }
         buf.extend_from_slice(&chunk[..n]);
     };
@@ -524,7 +582,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, u16> {
         body.extend_from_slice(&chunk[..n]);
     }
     body.truncate(content_length);
-    Ok(Request { method, path, body })
+    Ok(Some(Request { method, path, body }))
 }
 
 /// Byte offset of the `\r\n\r\n` header terminator, if present.
@@ -551,6 +609,131 @@ mod tests {
             options: CoupledOptions::default(),
             bundle_dir: None,
         }
+    }
+
+    /// Runs [`handle_connection`] on the server end of a loopback
+    /// connection whose client sends `bytes` and then closes its write
+    /// half; returns everything the client reads back.
+    fn exchange(bytes: &[u8]) -> Vec<u8> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.write_all(bytes).unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let (server_end, _) = listener.accept().unwrap();
+        handle_connection(server_end, &small_config());
+        let mut reply = Vec::new();
+        client.read_to_end(&mut reply).unwrap();
+        reply
+    }
+
+    #[test]
+    fn a_bare_connect_is_closed_silently() {
+        assert_eq!(read_request(&mut &b""[..]), Ok(None));
+        assert!(exchange(b"").is_empty(), "no response to a bare connect");
+    }
+
+    #[test]
+    fn a_partial_or_garbled_request_is_a_counted_400() {
+        let cases: [&[u8]; 3] = [
+            b"GET /hea",
+            b"POST /signoff HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
+            b"\xff\xfe\r\n\r\n",
+        ];
+        for bytes in cases {
+            assert_eq!(read_request(&mut &bytes[..]), Err(400));
+            let before = metrics::snapshot().counter("serve.errors");
+            let reply = exchange(bytes);
+            assert!(reply.starts_with(b"HTTP/1.1 400 "), "{reply:?}");
+            if cfg!(feature = "telemetry") {
+                // Other tests only ever add to the counter.
+                assert!(metrics::snapshot().counter("serve.errors") > before);
+            }
+        }
+    }
+
+    /// [`Server::run`] on an ephemeral port, in a background thread.
+    struct Running {
+        addr: SocketAddr,
+        shutdown: Arc<AtomicBool>,
+        done: mpsc::Receiver<io::Result<()>>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    impl Running {
+        fn start(threads: usize) -> Self {
+            let server = Server::bind("127.0.0.1:0").unwrap();
+            let addr = server.local_addr().unwrap();
+            let shutdown = Arc::new(AtomicBool::new(false));
+            let flag = Arc::clone(&shutdown);
+            let config = ServeConfig {
+                threads,
+                ..small_config()
+            };
+            let (tx, done) = mpsc::channel();
+            let thread = std::thread::spawn(move || {
+                let _ = tx.send(server.run(&config, &flag));
+            });
+            Self {
+                addr,
+                shutdown,
+                done,
+                thread,
+            }
+        }
+
+        /// One `GET` round trip; returns the raw response.
+        fn get(&self, path: &str) -> String {
+            let mut stream = TcpStream::connect(self.addr).unwrap();
+            write!(stream, "GET {path} HTTP/1.1\r\n\r\n").unwrap();
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply).unwrap();
+            reply
+        }
+
+        /// Sets the shutdown flag and returns how long `run` took to
+        /// return after it, requiring it to return `Ok`.
+        fn stop(self) -> Duration {
+            let set = std::time::Instant::now();
+            // SAFETY(ordering): SeqCst store, as a signal handler does.
+            self.shutdown.store(true, Ordering::SeqCst);
+            let result = self
+                .done
+                .recv_timeout(Duration::from_secs(10))
+                .expect("run returns after shutdown");
+            let waited = set.elapsed();
+            result.unwrap();
+            self.thread.join().unwrap();
+            waited
+        }
+    }
+
+    #[test]
+    fn an_idle_server_returns_within_100_ms_of_shutdown() {
+        let running = Running::start(1);
+        // A round trip proves the loop is up and back in a blocking accept.
+        assert!(running.get("/healthz").starts_with("HTTP/1.1 200 "));
+        let waited = running.stop();
+        assert!(waited < Duration::from_millis(100), "took {waited:?}");
+    }
+
+    #[test]
+    fn a_request_in_flight_at_shutdown_gets_its_full_response() {
+        let running = Running::start(2);
+        let mut in_flight = TcpStream::connect(running.addr).unwrap();
+        in_flight.write_all(b"POST /signoff HTTP/1.1\r\n").unwrap();
+        // Connections are accepted in order: once a later one is
+        // answered, the first is with a worker, waiting for its headers.
+        assert!(running.get("/healthz").starts_with("HTTP/1.1 200 "));
+        // SAFETY(ordering): SeqCst store, as a signal handler does.
+        running.shutdown.store(true, Ordering::SeqCst);
+        in_flight.write_all(b"Content-Length: 0\r\n\r\n").unwrap();
+        let mut reply = String::new();
+        in_flight.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200 "), "{reply}");
+        let body = reply.split_once("\r\n\r\n").unwrap().1;
+        let json = hotwire_obs::json::parse(body).unwrap();
+        assert_eq!(json.get("straps").and_then(Json::as_u64), Some(60));
+        running.stop();
     }
 
     #[test]

@@ -4,16 +4,18 @@
 //! `/healthz` over raw TCP (the workspace has no HTTP client, and the
 //! server speaks `Connection: close` one-shot HTTP/1.1 — a 60-line
 //! client below covers it), exercises `POST /signoff`, then sends
-//! SIGTERM and requires a graceful exit 0.
+//! SIGTERM and requires a graceful exit 0. A second test signals an
+//! idle server, which must wake itself for SIGUSR1 and SIGTERM.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Lines, Read, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
-/// Starts `hotwire serve` on port 0 with a tiny signoff grid and
-/// returns the child plus the bound address parsed from stdout.
-fn start_server() -> (Child, String) {
+/// Starts `hotwire serve` on port 0 with a tiny signoff grid (plus
+/// `extra` flags) and returns the child, the bound address parsed from
+/// stdout, and the rest of stdout.
+fn start_server(extra: &[&str]) -> (Child, String, Lines<BufReader<ChildStdout>>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_hotwire"))
         .args([
             "serve",
@@ -26,6 +28,7 @@ fn start_server() -> (Child, String) {
             "--threads",
             "2",
         ])
+        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -43,7 +46,33 @@ fn start_server() -> (Child, String) {
         .and_then(|rest| rest.split_whitespace().next())
         .unwrap_or_else(|| panic!("unparsable announcement: {first}"))
         .to_owned();
-    (child, addr)
+    (child, addr, lines)
+}
+
+/// Sends `signal` (e.g. `-TERM`) to the child with `kill(1)`.
+fn kill(child: &Child, signal: &str) {
+    let killed = Command::new("kill")
+        .args([signal, &child.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(killed.success());
+}
+
+/// Waits for the child to exit, failing the test after 15 s.
+fn wait_for_exit(child: &mut Child) -> ExitStatus {
+    let deadline = Instant::now() + Duration::from_secs(15);
+    loop {
+        match child.try_wait().expect("wait works") {
+            Some(status) => return status,
+            None => {
+                assert!(
+                    Instant::now() < deadline,
+                    "server did not exit within 15 s of SIGTERM"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+    }
 }
 
 /// One blocking HTTP exchange; returns `(status, headers, body)`.
@@ -140,7 +169,7 @@ fn counter_value(text: &str, name: &str) -> f64 {
 
 #[test]
 fn serve_scrapes_signs_off_and_shuts_down_gracefully() {
-    let (mut child, addr) = start_server();
+    let (mut child, addr, _stdout) = start_server(&[]);
 
     // /healthz answers 200 immediately.
     let (status, _, body) = get(&addr, "/healthz");
@@ -213,24 +242,59 @@ fn serve_scrapes_signs_off_and_shuts_down_gracefully() {
     }
 
     // SIGTERM → graceful drain → exit 0.
-    let pid = child.id().to_string();
-    let killed = Command::new("kill")
-        .args(["-TERM", &pid])
-        .status()
-        .expect("kill runs");
-    assert!(killed.success());
-    let deadline = Instant::now() + Duration::from_secs(15);
-    let status = loop {
-        match child.try_wait().expect("wait works") {
-            Some(status) => break status,
-            None => {
-                assert!(
-                    Instant::now() < deadline,
-                    "server did not exit within 15 s of SIGTERM"
-                );
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    };
+    kill(&child, "-TERM");
+    let status = wait_for_exit(&mut child);
     assert_eq!(status.code(), Some(0), "graceful shutdown must exit 0");
+}
+
+#[test]
+fn an_idle_server_wakes_itself_for_sigusr1_and_sigterm() {
+    let dir = std::env::temp_dir().join(format!("hotwire-serve-e2e-{}", std::process::id()));
+    let (mut child, _addr, mut stdout) =
+        start_server(&["--bundle-dir", dir.to_str().expect("UTF-8 temp dir")]);
+
+    // No request is ever sent: the server must wake its own accept loop.
+    kill(&child, "-USR1");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let bundle = loop {
+        let written = std::fs::read_dir(&dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(|entry| entry.path())
+            .find(|path| path.extension().is_some_and(|e| e == "json"));
+        if let Some(path) = written {
+            break path;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no SIGUSR1 bundle within 10 s on an idle server"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let announced = stdout
+        .next()
+        .expect("server announces the bundle")
+        .expect("stdout is UTF-8");
+    assert_eq!(
+        announced,
+        format!("diagnostic bundle: {}", bundle.display()),
+        "stdout names the bundle that was written"
+    );
+    let doc = hotwire::obs::json::parse(&std::fs::read_to_string(&bundle).unwrap()).unwrap();
+    assert_eq!(
+        doc.get("reason").and_then(hotwire::obs::json::Json::as_str),
+        Some("sigusr1")
+    );
+
+    let sent = Instant::now();
+    kill(&child, "-TERM");
+    let status = wait_for_exit(&mut child);
+    let waited = sent.elapsed();
+    assert_eq!(status.code(), Some(0), "graceful shutdown must exit 0");
+    assert!(
+        waited < Duration::from_secs(1),
+        "SIGTERM to exit took {waited:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
