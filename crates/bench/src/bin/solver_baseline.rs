@@ -9,7 +9,7 @@
 //! "Seed" is the dense damped-Newton path replayed by
 //! [`hotwire_bench::baseline`]; "direct" is the current
 //! `PowerGrid::analyze`, which routes SPD grid stamps to the
-//! AMD-ordered sparse LDLᵀ; "lu" forces the sparse-LU backend the
+//! nested-dissection-ordered sparse LDLᵀ; "lu" forces the sparse-LU backend the
 //! direct path used before the Cholesky fast path existed. The seed
 //! path is *measured* up to 30×30 and n⁶-extrapolated beyond (dense LU
 //! is cubic in the matrix dimension, and the matrix dimension is the
@@ -17,12 +17,18 @@
 //! n⁴-extrapolated beyond (grid LU cost grows as the 4th power of the
 //! edge) — each entry says which, so nobody mistakes a model for a
 //! measurement.
+//!
+//! Every Cholesky row also records the factor layer of that grid's
+//! reduced DC stamp: fill nnz of `L + D`, Σⱼ cⱼ² (the numeric work), and
+//! the medians of the `solver.chol.ordering_time` span and of the rest
+//! of `solver.chol.factor_time` (the numeric phase).
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use hotwire_bench::baseline;
 use hotwire_circuit::power_grid::{PowerGrid, PowerGridSpec};
+use hotwire_circuit::sparse::SparseMatrix;
 use hotwire_obs::metrics;
 use hotwire_units::{Area, Current, Resistance, Voltage};
 
@@ -36,7 +42,7 @@ const SEED_MEASURE_CAP: usize = 30;
 const LU_MEASURE_CAP: usize = 200;
 
 /// Grid sizes reported in the baseline file.
-const SIZES: [usize; 7] = [10, 20, 50, 100, 200, 500, 1000];
+const SIZES: [usize; 8] = [10, 20, 50, 100, 200, 300, 500, 1000];
 
 /// Segment conductance stamped by [`PowerGrid::analyze`] for the spec
 /// below (1 / segment_resistance).
@@ -55,18 +61,121 @@ fn power_grid(n: usize) -> PowerGrid {
     .expect("valid grid spec")
 }
 
+/// The reduced DC stamp [`PowerGrid::dc_solver`] factors for
+/// `power_grid(n)`: free intersections numbered row-major (the four
+/// corner pads eliminated), segment couplings plus a leak to ground.
+/// Orderings see only the pattern, so its factor has the solver's fill
+/// — [`chol_layer`] checks that against the solver's gauge.
+fn reduced_stamp(n: usize) -> SparseMatrix {
+    let pad = |r: usize, c: usize| (r == 0 || r == n - 1) && (c == 0 || c == n - 1);
+    let mut unknown = vec![usize::MAX; n * n];
+    let mut count = 0;
+    for r in 0..n {
+        for c in 0..n {
+            if !pad(r, c) {
+                unknown[r * n + c] = count;
+                count += 1;
+            }
+        }
+    }
+    let mut m = SparseMatrix::zeros(count);
+    for r in 0..n {
+        for c in 0..n {
+            let a = unknown[r * n + c];
+            if a != usize::MAX {
+                m.add(a, a, 1e-12);
+            }
+            for (rr, cc) in [(r, c + 1), (r + 1, c)] {
+                if rr >= n || cc >= n {
+                    continue;
+                }
+                let b = unknown[rr * n + cc];
+                for k in [a, b] {
+                    if k != usize::MAX {
+                        m.add(k, k, SEGMENT_G);
+                    }
+                }
+                if a != usize::MAX && b != usize::MAX {
+                    m.add(a, b, -SEGMENT_G);
+                    m.add(b, a, -SEGMENT_G);
+                }
+            }
+        }
+    }
+    m
+}
+
+/// The factor layer of one grid's Cholesky factorization.
+struct CholLayer {
+    fill_nnz: usize,
+    /// Σⱼ cⱼ² over the strictly-lower column counts of `L`.
+    work: f64,
+    ordering_ms: f64,
+    numeric_ms: f64,
+}
+
+/// Summed wall time of a span-fed timer so far (0 when absent).
+fn timer_total_ms(name: &str) -> f64 {
+    metrics::snapshot()
+        .timers
+        .get(name)
+        .map_or(0.0, |t| t.total_ms)
+}
+
+/// Factors `power_grid(n)`'s reduced stamp `reps` times (after one
+/// warmup) and reads the ordering and numeric spans of each run.
+fn chol_layer(n: usize, reps: usize) -> CholLayer {
+    let m = reduced_stamp(n);
+    let solver_fill = metrics::snapshot()
+        .gauges
+        .get("solver.chol.fill_nnz")
+        .map(|g| g.value);
+    let f = m.factor_cholesky().expect("grid stamp is SPD");
+    #[allow(clippy::cast_precision_loss)]
+    if let Some(fill) = solver_fill {
+        assert_eq!(
+            fill,
+            f.nnz() as f64,
+            "{n}x{n}: stamp differs from the solver's"
+        );
+    }
+    let (mut ordering, mut numeric) = (Vec::new(), Vec::new());
+    for _ in 0..reps.max(1) {
+        let (ord0, fac0) = (
+            timer_total_ms("solver.chol.ordering_time"),
+            timer_total_ms("solver.chol.factor_time"),
+        );
+        let _ = m.factor_cholesky().expect("grid stamp is SPD");
+        let ord = timer_total_ms("solver.chol.ordering_time") - ord0;
+        ordering.push(ord);
+        numeric.push(timer_total_ms("solver.chol.factor_time") - fac0 - ord);
+    }
+    CholLayer {
+        fill_nnz: f.nnz(),
+        work: f.refactor_work(),
+        ordering_ms: median(ordering),
+        numeric_ms: median(numeric),
+    }
+}
+
 /// Median wall time of `reps` runs of `f`, after one warmup run.
 fn median_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     f();
-    let mut times: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1.0e3
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+    median(
+        (0..reps.max(1))
+            .map(|_| {
+                let start = Instant::now();
+                f();
+                start.elapsed().as_secs_f64() * 1.0e3
+            })
+            .collect(),
+    )
+}
+
+/// The upper median of a non-empty sample.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
 /// Repetitions per timing at a given grid edge — the big factorizations
@@ -115,6 +224,7 @@ struct Row {
     lu_source: &'static str,
     direct_ms: f64,
     path: &'static str,
+    chol: Option<CholLayer>,
 }
 
 fn main() -> ExitCode {
@@ -222,6 +332,7 @@ fn main() -> ExitCode {
             lu_source: "measured",
             direct_ms,
             path,
+            chol: (path == "cholesky").then(|| chol_layer(n, 5)),
         });
         seed_ms
     };
@@ -241,6 +352,7 @@ fn main() -> ExitCode {
             let _ = grid.analyze().expect("direct solve");
         });
         let path = observed_path(&grid);
+        let chol = (path == "cholesky").then(|| chol_layer(n, reps));
         let (lu_ms, lu_source) = if n <= LU_MEASURE_CAP {
             let ms = lu_forced_ms(&grid, reps);
             if n == LU_MEASURE_CAP {
@@ -278,6 +390,7 @@ fn main() -> ExitCode {
             lu_source,
             direct_ms,
             path,
+            chol,
         });
     }
     rows.sort_by_key(|r| r.grid);
@@ -288,8 +401,12 @@ fn main() -> ExitCode {
         "  \"benchmark\": \"PowerGrid::analyze (DC IR-drop solve, square grid, 4 corner pads)\",\n",
     );
     json.push_str("  \"before\": \"seed path: dense MNA with vsrc branches, full clone+pivot LU per damped-Newton iteration (hotwire_bench::baseline replica)\",\n");
-    json.push_str("  \"after\": \"direct DC solve, pads eliminated, single factorization; SPD stamps route to AMD-ordered sparse LDL^T above 128 unknowns (sparse LU is the non-SPD fallback, forced here for the lu_ms column)\",\n");
-    json.push_str("  \"machine\": \"container, 1 CPU core; medians of 1-5 runs after warmup\",\n");
+    json.push_str("  \"after\": \"direct DC solve, pads eliminated, single factorization; SPD stamps route to nested-dissection-ordered sparse LDL^T above 128 unknowns (sparse LU is the non-SPD fallback, forced here for the lu_ms column); cholesky rows add the factor layer: fill_nnz of L+D, factor_work = sum of squared column counts of L, and medians of the ordering span and of the numeric rest of the factor span\",\n");
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    json.push_str(&format!(
+        "  \"machine\": \"medians of 1-5 runs after warmup\",\n  \"threads\": {},\n  \"nproc\": {nproc},\n",
+        rayon::current_num_threads()
+    ));
     json.push_str(&format!(
         "  \"seed_measure_cap\": {SEED_MEASURE_CAP},\n  \"seed_extrapolation\": \"sizes above the cap scale the last measured seed time by (n/{SEED_MEASURE_CAP})^6 (dense LU is cubic in the n^2 matrix dimension); they are a model, not a measurement\",\n"
     ));
@@ -300,8 +417,14 @@ fn main() -> ExitCode {
     for (k, r) in rows.iter().enumerate() {
         let speedup = r.seed_ms / r.direct_ms;
         let speedup_vs_lu = r.lu_ms / r.direct_ms;
+        let layer = r.chol.as_ref().map_or(String::new(), |c| {
+            format!(
+                ", \"fill_nnz\": {}, \"factor_work\": {:.4e}, \"ordering_ms\": {:.3}, \"numeric_ms\": {:.3}",
+                c.fill_nnz, c.work, c.ordering_ms, c.numeric_ms
+            )
+        });
         json.push_str(&format!(
-            "    {{\"grid\": \"{n}x{n}\", \"unknowns\": {u}, \"seed_ms\": {s:.3}, \"seed_source\": \"{src}\", \"lu_ms\": {l:.3}, \"lu_source\": \"{lsrc}\", \"direct_ms\": {d:.3}, \"path\": \"{p}\", \"speedup\": {sp:.1}, \"speedup_vs_lu\": {spl:.1}}}{comma}\n",
+            "    {{\"grid\": \"{n}x{n}\", \"unknowns\": {u}, \"seed_ms\": {s:.3}, \"seed_source\": \"{src}\", \"lu_ms\": {l:.3}, \"lu_source\": \"{lsrc}\", \"direct_ms\": {d:.3}, \"path\": \"{p}\", \"speedup\": {sp:.1}, \"speedup_vs_lu\": {spl:.1}{layer}}}{comma}\n",
             n = r.grid,
             u = r.unknowns,
             s = r.seed_ms,

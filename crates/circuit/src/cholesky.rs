@@ -6,7 +6,9 @@
 //! partial pivoting the general LU in [`crate::sparse`] pays for. This
 //! module factors `P·A·Pᵀ = L·D·Lᵀ` with:
 //!
-//! * a fill-reducing AMD permutation ([`crate::ordering::amd`]),
+//! * a fill-reducing nested-dissection permutation (George–Liu level
+//!   structures, with [`crate::ordering::amd`] on parts of at most 6000
+//!   nodes and on any system that small),
 //! * a **symbolic phase** run once per sparsity pattern — elimination
 //!   tree, postorder, exact per-column fill counts — so
 //!   [`CholeskyFactorization::refactor`] is numeric-only, exactly like
@@ -18,10 +20,10 @@
 //! The parallel schedule is deterministic and byte-identical to the
 //! serial factorization: the postordered etree makes every subtree a
 //! contiguous column range, row patterns stay inside their subtree, so
-//! each task owns disjoint columns and returns its slice of `L` by
-//! value; the serial "top" pass then finishes the shared ancestor rows
-//! in ascending order — the exact append order the serial code would
-//! have produced (see DESIGN.md §12). [`SparseMatrix::factor_cholesky_serial`]
+//! each task writes its own disjoint slices of `L` and `D` in place; the
+//! serial "top" pass then finishes the shared ancestor rows in ascending
+//! order — the exact append order the serial code would have produced
+//! (see DESIGN.md §12). [`SparseMatrix::factor_cholesky_serial`]
 //! is the single-task reference twin the determinism suite compares
 //! against.
 //!
@@ -41,7 +43,7 @@
 //! # Ok::<(), hotwire_circuit::CircuitError>(())
 //! ```
 
-use crate::ordering::{amd, etree, postorder, subtree_sizes};
+use crate::ordering::{etree, nested_dissection, postorder, subtree_sizes, ND_LEAF};
 use crate::sparse::{Csc, SparseMatrix};
 use crate::CircuitError;
 use hotwire_obs::metrics;
@@ -74,8 +76,8 @@ impl SparseMatrix {
         spd_candidate(self.n(), &self.to_csc())
     }
 
-    /// Factors `P·A·Pᵀ = L·D·Lᵀ` with AMD ordering and the parallel
-    /// subtree schedule.
+    /// Factors `P·A·Pᵀ = L·D·Lᵀ` with nested-dissection ordering and the
+    /// parallel subtree schedule.
     ///
     /// # Errors
     ///
@@ -86,7 +88,7 @@ impl SparseMatrix {
     /// [`SparseMatrix::factor`] — the solver dispatch in
     /// [`crate::solver`] does exactly that.
     pub fn factor_cholesky(&self) -> Result<CholeskyFactorization, CircuitError> {
-        self.factor_cholesky_inner(true)
+        self.factor_cholesky_inner(true, ND_LEAF)
     }
 
     /// The single-task serial twin of [`SparseMatrix::factor_cholesky`]:
@@ -98,10 +100,17 @@ impl SparseMatrix {
     ///
     /// As [`SparseMatrix::factor_cholesky`].
     pub fn factor_cholesky_serial(&self) -> Result<CholeskyFactorization, CircuitError> {
-        self.factor_cholesky_inner(false)
+        self.factor_cholesky_inner(false, ND_LEAF)
     }
 
-    fn factor_cholesky_inner(&self, parallel: bool) -> Result<CholeskyFactorization, CircuitError> {
+    /// The factorization behind both schedules; `leaf` is the
+    /// nested-dissection leaf size (tests shrink it to dissect small
+    /// grids).
+    fn factor_cholesky_inner(
+        &self,
+        parallel: bool,
+        leaf: usize,
+    ) -> Result<CholeskyFactorization, CircuitError> {
         let n = self.n();
         let a = self.to_csc();
         if !spd_candidate(n, &a) {
@@ -113,9 +122,10 @@ impl SparseMatrix {
         // ---- ordering + symbolic phase (once per sparsity pattern) ----
         let (perm, pinv, au, parent, l_colptr) = {
             let _o = hotwire_obs::trace::span("solver.chol.ordering_time");
-            // AMD on the full symmetric pattern, then postorder the
-            // elimination tree so subtrees are contiguous index ranges.
-            let perm0 = amd(n, &a.col_ptr, &a.row_idx);
+            // Nested dissection on the full symmetric pattern, then
+            // postorder the elimination tree so subtrees are contiguous
+            // index ranges.
+            let perm0 = nested_dissection(n, &a.col_ptr, &a.row_idx, leaf);
             let mut pinv0 = vec![0u32; n];
             for (k, &p) in perm0.iter().enumerate() {
                 #[allow(clippy::cast_possible_truncation)]
@@ -155,15 +165,16 @@ impl SparseMatrix {
             (Vec::new(), (0..n as u32).collect())
         };
 
+        let nnz = l_colptr[n];
         let mut f = CholeskyFactorization {
             n,
             perm,
             pinv,
             parent,
             l_colptr,
-            l_rows: Vec::new(),
-            l_vals: Vec::new(),
-            d: Vec::new(),
+            l_rows: vec![0; nnz],
+            l_vals: vec![0.0; nnz],
+            d: vec![0.0; n],
             ranges,
             top_rows,
             anorm_1: a.norm_1(),
@@ -177,7 +188,7 @@ impl SparseMatrix {
 
 /// A sparse LDLᵀ factorization `P·A·Pᵀ = L·D·Lᵀ`.
 ///
-/// The *symbolic* state — AMD permutation, elimination tree, column
+/// The *symbolic* state — permutation, elimination tree, column
 /// pointers and the parallel subtree schedule — is retained, so
 /// [`CholeskyFactorization::refactor`] refreshes only the numeric
 /// values from a same-pattern matrix, exactly like the LU path.
@@ -205,16 +216,6 @@ pub struct CholeskyFactorization {
     /// ‖A‖₁ of the matrix behind the current numeric values, refreshed
     /// by [`CholeskyFactorization::refactor`] (condition-estimate input).
     anorm_1: f64,
-}
-
-/// One parallel task's slice of the factor: columns `[lo, hi)` by value.
-struct Segment {
-    lo: usize,
-    hi: usize,
-    l_rows: Vec<u32>,
-    l_vals: Vec<f64>,
-    lnz: Vec<u32>,
-    d: Vec<f64>,
 }
 
 impl CholeskyFactorization {
@@ -298,8 +299,10 @@ impl CholeskyFactorization {
     ///
     /// Returns [`CircuitError::NotPositiveDefinite`] when the new values
     /// are no longer SPD, and [`CircuitError::Singular`] when the
-    /// pattern drifted from the factored one. Callers should fall back
-    /// to a fresh factorization in either case.
+    /// pattern drifted from the factored one (including a stamp with
+    /// fewer entries, which would leave slots of `L` unwritten). The
+    /// factor is overwritten in place, so after an error it is unusable:
+    /// callers should fall back to a fresh factorization.
     ///
     /// # Panics
     ///
@@ -317,83 +320,82 @@ impl CholeskyFactorization {
         Ok(())
     }
 
-    /// Runs the numeric phase (subtree tasks, merge, serial top pass)
-    /// against the permuted upper triangle `au`, replacing the stored
-    /// factor values.
+    /// Runs the numeric phase (subtree tasks, then the serial top pass)
+    /// against the permuted upper triangle `au`, overwriting the stored
+    /// factor values in place.
     fn numeric(&mut self, au: &Csc) -> Result<(), CircuitError> {
-        let n = self.n;
-        let nnz = self.l_colptr[n];
-        let (parent, l_colptr) = (&self.parent, &self.l_colptr);
+        let Self {
+            n,
+            parent,
+            l_colptr,
+            l_rows,
+            l_vals,
+            d,
+            ranges,
+            top_rows,
+            ..
+        } = self;
+        let (n, parent, l_colptr): (usize, &[u32], &[usize]) = (*n, parent, l_colptr);
+        let mut lnz = vec![0u32; n];
+
+        // Each task owns a contiguous column range, so its slices of the
+        // factor storage are disjoint: carve them off in ascending order.
+        let mut tasks = Vec::with_capacity(ranges.len());
+        {
+            let (mut rows, mut vals) = (&mut l_rows[..], &mut l_vals[..]);
+            let (mut cnts, mut diag) = (&mut lnz[..], &mut d[..]);
+            let mut at = 0;
+            for &(lo, hi) in ranges.iter() {
+                let (lo, hi) = (lo as usize, hi as usize);
+                let skip = l_colptr[lo] - l_colptr[at];
+                let take = l_colptr[hi] - l_colptr[lo];
+                tasks.push((
+                    lo..hi,
+                    carve(&mut rows, skip, take),
+                    carve(&mut vals, skip, take),
+                    carve(&mut cnts, lo - at, hi - lo),
+                    carve(&mut diag, lo - at, hi - lo),
+                ));
+                at = hi;
+            }
+        }
 
         // Snap the logical context so each subtree task's span parents
         // under the enclosing factor/refactor span even on a worker.
         let ctx = hotwire_obs::trace::context();
-        let segments: Result<Vec<Segment>, CircuitError> = self
-            .ranges
-            .par_iter()
-            .map(|&(lo, hi)| {
+        tasks
+            .into_par_iter()
+            .map(|(cols, rows, vals, cnts, diag)| {
                 let _ctx = ctx.adopt();
                 let _task_span = hotwire_obs::trace::span("solver.chol.subtree");
-                let (lo, hi) = (lo as usize, hi as usize);
-                let width = hi - lo;
-                let seg_nnz = l_colptr[hi] - l_colptr[lo];
-                let mut seg = Segment {
-                    lo,
-                    hi,
-                    l_rows: vec![0u32; seg_nnz],
-                    l_vals: vec![0.0f64; seg_nnz],
-                    lnz: vec![0u32; width],
-                    d: vec![0.0f64; width],
-                };
+                let (base, width) = (cols.start, cols.len());
                 numeric_rows(
-                    lo..hi,
-                    lo,
-                    width,
-                    au,
-                    parent,
-                    l_colptr,
-                    &mut seg.l_rows,
-                    &mut seg.l_vals,
-                    &mut seg.lnz,
-                    &mut seg.d,
-                )?;
-                Ok(seg)
+                    cols, base, width, au, parent, l_colptr, rows, vals, cnts, diag,
+                )
             })
-            .collect();
-        let segments = segments?;
-
-        // Merge: each task owns a contiguous column range, so its slice
-        // lands verbatim at l_colptr[lo]..l_colptr[hi].
-        let mut l_rows = vec![0u32; nnz];
-        let mut l_vals = vec![0.0f64; nnz];
-        let mut lnz = vec![0u32; n];
-        let mut d = vec![0.0f64; n];
-        for seg in segments {
-            l_rows[l_colptr[seg.lo]..l_colptr[seg.hi]].copy_from_slice(&seg.l_rows);
-            l_vals[l_colptr[seg.lo]..l_colptr[seg.hi]].copy_from_slice(&seg.l_vals);
-            lnz[seg.lo..seg.hi].copy_from_slice(&seg.lnz);
-            d[seg.lo..seg.hi].copy_from_slice(&seg.d);
-        }
+            .collect::<Result<Vec<()>, CircuitError>>()?;
 
         // Serial top pass: shared ancestor rows, ascending — the same
         // per-column append order the all-serial factorization produces.
         numeric_rows(
-            self.top_rows.iter().map(|&k| k as usize),
+            top_rows.iter().map(|&k| k as usize),
             0,
             n,
             au,
             parent,
             l_colptr,
-            &mut l_rows,
-            &mut l_vals,
+            l_rows,
+            l_vals,
             &mut lnz,
-            &mut d,
+            d,
         )?;
 
-        self.l_rows = l_rows;
-        self.l_vals = l_vals;
-        self.d = d;
-        Ok(())
+        // A stamp with fewer entries than the factored pattern leaves
+        // slots unwritten (stale values from the last factor): reject it.
+        match (0..n).find(|&k| lnz[k] as usize != l_colptr[k + 1] - l_colptr[k]) {
+            Some(k) => Err(CircuitError::Singular { row: k }),
+            None => Ok(()),
+        }
     }
 
     /// Solves `A·x = b` using the stored factor.
@@ -463,6 +465,15 @@ impl CholeskyFactorization {
             x[p as usize] = y[k];
         }
     }
+}
+
+/// Splits the next `take` elements, after skipping `skip`, off the front
+/// of `buf`.
+fn carve<'a, T>(buf: &mut &'a mut [T], skip: usize, take: usize) -> &'a mut [T] {
+    let (_, rest) = std::mem::take(buf).split_at_mut(skip);
+    let (piece, rest) = rest.split_at_mut(take);
+    *buf = rest;
+    piece
 }
 
 /// Up-looking numeric kernel over a set of rows, writing columns
@@ -707,21 +718,32 @@ fn schedule(parent: &[u32], threshold: usize) -> (Vec<(u32, u32)>, Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// 5-point grid Laplacian with gmin shift and one grounded corner —
     /// SPD by construction, the shape of every power-grid MNA matrix.
     fn grid_laplacian(rows: usize, cols: usize) -> SparseMatrix {
+        stamp_grid(rows, cols, 1.0, None)
+    }
+
+    /// [`grid_laplacian`] with every stamp scaled by `g`, optionally
+    /// leaving out the coupling between nodes `skip.0` and `skip.1`.
+    fn stamp_grid(rows: usize, cols: usize, g: f64, skip: Option<(usize, usize)>) -> SparseMatrix {
         let n = rows * cols;
         let mut m = SparseMatrix::zeros(n);
         let at = |r: usize, c: usize| r * cols + c;
         for r in 0..rows {
             for c in 0..cols {
-                m.add(at(r, c), at(r, c), 1e-9);
+                m.add(at(r, c), at(r, c), 1e-9 * g);
                 let mut couple = |a: usize, b: usize| {
-                    m.add(a, a, 1.0);
-                    m.add(b, b, 1.0);
-                    m.add(a, b, -1.0);
-                    m.add(b, a, -1.0);
+                    if skip != Some((a, b)) {
+                        m.add(a, a, g);
+                        m.add(b, b, g);
+                        m.add(a, b, -g);
+                        m.add(b, a, -g);
+                    }
                 };
                 if c + 1 < cols {
                     couple(at(r, c), at(r, c + 1));
@@ -731,7 +753,35 @@ mod tests {
                 }
             }
         }
-        m.add(0, 0, 1.0e3);
+        m.add(0, 0, 1.0e3 * g);
+        m
+    }
+
+    /// A weighted 5-point grid Laplacian with random branch
+    /// conductances and per-node leaks — SPD, like `DcGridSolver`'s.
+    fn random_spd_grid(rows: usize, cols: usize, seed: u64) -> SparseMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut m = SparseMatrix::zeros(rows * cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                let here = r * cols + c;
+                let mut near = Vec::new();
+                if c + 1 < cols {
+                    near.push(here + 1);
+                }
+                if r + 1 < rows {
+                    near.push(here + cols);
+                }
+                for there in near {
+                    let g = rng.gen_range(0.1..10.0);
+                    m.add(here, here, g);
+                    m.add(there, there, g);
+                    m.add(here, there, -g);
+                    m.add(there, here, -g);
+                }
+                m.add(here, here, rng.gen_range(1.0e-3..1.0));
+            }
+        }
         m
     }
 
@@ -800,33 +850,22 @@ mod tests {
         let m = grid_laplacian(10, 10);
         let mut f = m.factor_cholesky().unwrap();
         // Same pattern, scaled values, same stamping order.
-        let scaled = {
-            let mut s = SparseMatrix::zeros(m.n());
-            let at = |r: usize, c: usize| r * 10 + c;
-            for r in 0..10 {
-                for c in 0..10 {
-                    s.add(at(r, c), at(r, c), 2.5e-9);
-                    let mut couple = |a: usize, b: usize| {
-                        s.add(a, a, 2.5);
-                        s.add(b, b, 2.5);
-                        s.add(a, b, -2.5);
-                        s.add(b, a, -2.5);
-                    };
-                    if c + 1 < 10 {
-                        couple(at(r, c), at(r, c + 1));
-                    }
-                    if r + 1 < 10 {
-                        couple(at(r, c), at(r + 1, c));
-                    }
-                }
-            }
-            s.add(0, 0, 2.5e3);
-            s
-        };
-        f.refactor(&scaled).unwrap();
-        let fresh = scaled.factor_cholesky().unwrap();
+        f.refactor(&stamp_grid(10, 10, 2.5, None)).unwrap();
+        let fresh = stamp_grid(10, 10, 2.5, None).factor_cholesky().unwrap();
         assert_eq!(f.l_values(), fresh.l_values());
         assert_eq!(f.diagonal(), fresh.diagonal());
+    }
+
+    #[test]
+    fn refactor_rejects_a_stamp_with_a_coupling_dropped() {
+        // Cutting the chain in two leaves no entry of L linking the
+        // halves, so some slot of the factored pattern goes unwritten.
+        let mut f = grid_laplacian(1, 200).factor_cholesky().unwrap();
+        let cut = stamp_grid(1, 200, 1.0, Some((99, 100)));
+        assert!(matches!(
+            f.refactor(&cut),
+            Err(CircuitError::Singular { .. })
+        ));
     }
 
     #[test]
@@ -880,5 +919,42 @@ mod tests {
         let empty = SparseMatrix::zeros(0);
         let fe = empty.factor_cholesky().unwrap();
         assert!(fe.solve(&[]).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// With an 8-node leaf the grids proptest can afford are
+        /// dissected for real: the LDLᵀ solve must still agree with LU to
+        /// 1e-9 relative, and the parallel schedule must reproduce the
+        /// serial factor bit for bit.
+        #[test]
+        fn dissected_factor_agrees_with_lu_and_its_serial_twin(
+            rows in 2_usize..17,
+            cols in 2_usize..17,
+            seed in 0_u64..u64::MAX,
+        ) {
+            let m = random_spd_grid(rows, cols, seed);
+            let par = m.factor_cholesky_inner(true, 8).expect("grid stamp is SPD");
+            let ser = m.factor_cholesky_inner(false, 8).expect("grid stamp is SPD");
+            prop_assert_eq!(par.nnz(), ser.nnz());
+            for (a, b) in par.l_values().iter().zip(ser.l_values()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+            for (a, b) in par.diagonal().iter().zip(ser.diagonal()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+            let mut rng = StdRng::seed_from_u64(!seed);
+            let b: Vec<f64> = (0..m.n()).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let xc = par.solve(&b);
+            let xl = m.factor().expect("grid stamp is nonsingular").solve(&b);
+            let scale = xl.iter().fold(1.0_f64, |s, &v| s.max(v.abs()));
+            for (k, (&a, &r)) in xc.iter().zip(&xl).enumerate() {
+                prop_assert!(
+                    (a - r).abs() <= 1.0e-9 * scale,
+                    "node {k}: cholesky {a} vs lu {r} (scale {scale})"
+                );
+            }
+        }
     }
 }

@@ -6,10 +6,10 @@
 //! whose factor cost grows far slower than O(n³). [`MnaMatrix::auto`]
 //! picks dense vs sparse by unknown count at [`SPARSE_THRESHOLD`]; the
 //! sparse arm then routes SPD stamps (symmetric, positive diagonal —
-//! every power-grid and thermal-map matrix) to the AMD-ordered LDLᵀ in
-//! [`crate::cholesky`] and everything else to the pivoting LU in
-//! [`crate::sparse`], falling back to LU automatically when an LDLᵀ
-//! pivot fails. All backends expose the same stamping and
+//! every power-grid and thermal-map matrix) to the
+//! nested-dissection-ordered LDLᵀ in [`crate::cholesky`] and everything
+//! else to the pivoting LU in [`crate::sparse`], falling back to LU
+//! automatically when an LDLᵀ pivot fails. All backends expose the same stamping and
 //! factor-once/solve-many surface so assembly code is
 //! representation-agnostic; [`MnaFactorization::path`] reports which
 //! backend actually served a factorization.
@@ -30,7 +30,7 @@ pub enum SolverPath {
     /// Sparse Gilbert–Peierls LU with partial pivoting
     /// ([`crate::sparse`]).
     SparseLu,
-    /// Sparse AMD-ordered LDLᵀ ([`crate::cholesky`]).
+    /// Sparse nested-dissection-ordered LDLᵀ ([`crate::cholesky`]).
     SparseCholesky,
 }
 
@@ -167,7 +167,7 @@ impl MnaMatrix {
             }
             Self::Sparse(m) => {
                 // SPD fast path: symmetric stamps with a positive
-                // diagonal go through AMD + LDLᵀ; anything else — and
+                // diagonal go through ND + LDLᵀ; anything else — and
                 // any LDLᵀ pivot failure — falls back to pivoting LU.
                 if !force_lu {
                     match m.factor_cholesky() {
@@ -440,6 +440,45 @@ mod tests {
                 assert!((a - b).abs() < 1e-12);
             }
         }
+    }
+
+    #[test]
+    fn a_refactor_with_a_coupling_dropped_falls_back_to_a_fresh_factor() {
+        // A leaky chain: SPD, so it factors on the LDLᵀ path. Cutting one
+        // coupling shrinks the pattern of L; the in-place refactor must
+        // refuse it rather than keep the old factor's values in the
+        // slots the new stamp no longer reaches.
+        let n = 200;
+        let stamp = |cut: Option<usize>| {
+            let mut m = MnaMatrix::sparse(n);
+            for k in 0..n {
+                m.add(k, k, 1.0);
+                if k + 1 < n && cut != Some(k) {
+                    m.add(k, k, 1.0);
+                    m.add(k + 1, k + 1, 1.0);
+                    m.add(k, k + 1, -1.0);
+                    m.add(k + 1, k, -1.0);
+                }
+            }
+            m
+        };
+        let mut f = stamp(None).factor().unwrap();
+        assert_eq!(f.path(), SolverPath::SparseCholesky);
+        let cut = stamp(Some(n / 2));
+        f.refactor(&cut).unwrap();
+        assert_eq!(f.path(), SolverPath::SparseCholesky);
+        #[allow(clippy::cast_precision_loss)]
+        let b: Vec<f64> = (0..n).map(|k| (k % 5) as f64 - 2.0).collect();
+        let x = f.solve(&b);
+        let inf_norm = |v: &[f64]| v.iter().fold(0.0_f64, |m, e| m.max(e.abs()));
+        let r: Vec<f64> = cut
+            .mul_vec(&x)
+            .iter()
+            .zip(&b)
+            .map(|(ax, bk)| ax - bk)
+            .collect();
+        let rel = inf_norm(&r) / inf_norm(&b);
+        assert!(rel <= 1e-10, "relative residual {rel}");
     }
 
     #[test]
